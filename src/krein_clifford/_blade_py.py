@@ -1,7 +1,6 @@
 """Pure-Python blade kernels.
 
-Reference implementation of the hot inner loops; the Cython module
-``_blade_cy`` mirrors these semantics exactly.  Blade indices are bitmasks
+The hot inner loops of the geometric product.  Blade indices are bitmasks
 over the generators: bit ``i`` (0-based) set means generator ``e_{i+1}``
 is present.  Generators 1..p square to +1, the remaining q square to -1.
 All signs are computed in exact integer arithmetic.

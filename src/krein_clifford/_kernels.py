@@ -1,22 +1,8 @@
-"""Kernel backend selection.
+"""The blade kernel used by the algebra layer.
 
-The compiled extension is preferred; the pure-Python module is a drop-in
-fallback.  Set ``KREIN_CLIFFORD_PURE=1`` to force the fallback (used by the
-benchmark and by CI on platforms without a compiler).
+``_blade_py`` is the only implementation; this module re-exports its
+names so that ``clifford_core`` and the benchmark harness (which reads
+``BACKEND``) have one stable place to import them from.
 """
 
-from __future__ import annotations
-
-import os
-
-if os.environ.get("KREIN_CLIFFORD_PURE"):
-    from . import _blade_py as _impl
-else:
-    try:
-        from . import _blade_cy as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _blade_py as _impl
-
-BACKEND = _impl.BACKEND
-blade_sign = _impl.blade_sign
-gp_dense = _impl.gp_dense
+from ._blade_py import BACKEND, blade_sign, gp_dense

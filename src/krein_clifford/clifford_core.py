@@ -13,7 +13,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from ._kernels import blade_sign, gp_dense
+from ._kernels import gp_dense
 
 PRUNE_TOL = 0.0  # coefficients equal to exact zero are dropped
 DEFINITENESS_TOL = 1e-9
@@ -54,13 +54,6 @@ class Signature:
         if not 1 <= i <= self.n:
             raise ValueError(f"generator index {i} out of range")
         return 1 if i <= self.p else -1
-
-
-def blade_product(I: int, J: int, sig: Signature) -> tuple[int, int]:
-    """Product of basis blades: e_I * e_J = sign * e_(I xor J)."""
-    if not (0 <= I < (1 << sig.n) and 0 <= J < (1 << sig.n)):
-        raise ValueError("blade index out of range")
-    return I ^ J, blade_sign(I, J, sig.p)
 
 
 def _reversal_sign(k: int) -> int:
@@ -231,31 +224,7 @@ class Multivector:
 
 
 # ---------------------------------------------------------------------
-# module-level operation aliases
-
-def geometric_product(a: Multivector, b: Multivector) -> Multivector:
-    return a * b
-
-
-def reversal(a: Multivector) -> Multivector:
-    return a.reversal()
-
-
-def grade_involution(a: Multivector) -> Multivector:
-    return a.grade_involution()
-
-
-def conjugation_c(a: Multivector) -> Multivector:
-    return a.conjugate()
-
-
-def cross(a: Multivector) -> Multivector:
-    return a.cross()
-
-
-def normalized_trace(a: Multivector) -> complex:
-    return a.normalized_trace()
-
+# vectors and forms
 
 def volume_element(sig: Signature) -> Multivector:
     """Product of all generators in canonical order."""
@@ -307,10 +276,6 @@ class AdmissibleRealStructure:
         """The background structure itself (b = 1)."""
         one = Multivector.unit(sig)
         return cls(one, one, 1, 1)
-
-    @property
-    def is_canonical(self) -> bool:
-        return (self.b - Multivector.unit(self.sig)).norm_max() <= 1e-12
 
     def apply(self, a: Multivector) -> Multivector:
         return self.b * a.conjugate() * self.b_inv
@@ -390,14 +355,6 @@ def make_sigma_from_vector(v: Multivector, graded: bool = False) -> AdmissibleRe
         raise ValueError("isotropic vector")
     b_raw = volume_element(v.sig) * v if graded else v
     return make_real_structure(b_raw)
-
-
-def sigma_apply(sigma: AdmissibleRealStructure, a: Multivector) -> Multivector:
-    return sigma.apply(a)
-
-
-def sigma_cross(sigma: AdmissibleRealStructure, a: Multivector) -> Multivector:
-    return sigma.sigma_cross(a)
 
 
 def sigma_product(sigma: AdmissibleRealStructure, a: Multivector, b: Multivector) -> complex:

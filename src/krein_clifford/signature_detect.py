@@ -139,20 +139,18 @@ def cone_test(sig: Signature, g: GammaSet, beta: KreinForm, v) -> ConeVerdict:
     return ConeVerdict(True, component, report)
 
 
-_FUTURE_SIGN_CACHE: dict[tuple[int, int], int] = {}
-
-
 def _future_sign(sig: Signature, g: GammaSet, beta: KreinForm) -> int:
-    """+1 if the canonical timelike vector yields a positive definite form."""
-    key = (sig.p, sig.q)
-    if key not in _FUTURE_SIGN_CACHE:
-        i0 = 1 if _case_of(sig) == "antilorentz" else sig.n
-        v0 = Multivector.basis_vector(sig, i0)
-        rep = classify_hermitian(_cone_form(sig, g, beta, v0))
-        if not rep.is_definite:
-            raise SignatureClassError("canonical timelike vector gives a non-definite form")
-        _FUTURE_SIGN_CACHE[key] = 1 if rep.classification == "positive_definite" else -1
-    return _FUTURE_SIGN_CACHE[key]
+    """+1 if the canonical timelike vector yields a positive definite form.
+
+    Recomputed on every call: the sign depends on ``beta``, and -beta is as
+    valid a Krein form as beta.
+    """
+    i0 = 1 if _case_of(sig) == "antilorentz" else sig.n
+    v0 = Multivector.basis_vector(sig, i0)
+    rep = classify_hermitian(_cone_form(sig, g, beta, v0))
+    if not rep.is_definite:
+        raise SignatureClassError("canonical timelike vector gives a non-definite form")
+    return 1 if rep.classification == "positive_definite" else -1
 
 
 def krein_positive(beta: KreinForm, A: np.ndarray) -> bool:

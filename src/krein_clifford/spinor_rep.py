@@ -103,10 +103,9 @@ class KreinForm:
     """Hermitian involutive matrix beta with beta gamma_i beta^-1 = gamma_i^dagger."""
 
     beta: np.ndarray
-    overall_sign_choice: int
 
 
-def _fix_matrix_sign(m: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, int]:
+def _fix_matrix_sign(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Make the largest-magnitude diagonal entry positive; fall back to the
     first entry of largest magnitude when the diagonal vanishes."""
     d = np.real(np.diag(m))
@@ -116,7 +115,7 @@ def _fix_matrix_sign(m: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, int
         flat = m.ravel()
         lead = flat[np.abs(flat).argmax()]
         sign = 1 if lead.real >= 0 else -1
-    return sign * m, sign
+    return sign * m
 
 
 def _intertwiner_nullspace(lhs: list[np.ndarray], rhs: list[np.ndarray], N: int) -> np.ndarray:
@@ -153,8 +152,7 @@ def build_krein_form(g: GammaSet) -> KreinForm:
         for gam in g.gammas:
             if np.abs(cand @ gam.conj().T - gam @ cand).max() > 1e-9:
                 return None
-        cand, sign = _fix_matrix_sign(cand)
-        return KreinForm(cand, sign)
+        return KreinForm(_fix_matrix_sign(cand))
 
     if sig.p % 2 == 1:
         idx = range(sig.p)

@@ -221,9 +221,6 @@ def run_suite(suite: str, seed: int = 0) -> list[tuple[str, bool, str]]:
         "wick": run_wick,
         "ideals": run_ideals,
     }
-    if suite == "all":
-        out = []
-        for name in ("core", "spinor", "cone", "wick", "ideals"):
-            out.extend((f"{name}.{n}", ok, d) for n, ok, d in runners[name](seed))
-        return out
-    return [(f"{suite}.{n}", ok, d) for n, ok, d in runners[suite](seed)]
+    names = list(runners) if suite == "all" else [suite]
+    # checks may compute `ok` as a numpy.bool, which json cannot serialize
+    return [(f"{name}.{n}", bool(ok), d) for name in names for n, ok, d in runners[name](seed)]

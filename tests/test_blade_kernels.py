@@ -1,22 +1,9 @@
-"""Blade-sign kernel checked against an explicit matrix representation,
-plus parity between the compiled and pure-Python backends."""
-
-import os
-import subprocess
-import sys
+"""Blade-sign kernel checked against an explicit matrix representation."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from krein_clifford import _blade_py
 from krein_clifford._kernels import BACKEND, blade_sign
-
-try:
-    from krein_clifford import _blade_cy
-except ImportError:
-    _blade_cy = None
 
 _SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -66,40 +53,5 @@ def test_identity_blade_is_neutral():
         assert blade_sign(J, 0, 2) == 1
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    I=st.integers(min_value=0, max_value=63),
-    J=st.integers(min_value=0, max_value=63),
-    p=st.integers(min_value=0, max_value=6),
-)
-def test_backends_agree_on_signs(I, J, p):
-    if _blade_cy is None:
-        pytest.skip("compiled backend unavailable")
-    assert _blade_py.blade_sign(I, J, p) == _blade_cy.blade_sign(I, J, p)
-
-
-def test_backends_agree_on_dense_product():
-    if _blade_cy is None:
-        pytest.skip("compiled backend unavailable")
-    rng = np.random.default_rng(7)
-    for p, n in [(1, 2), (2, 4), (3, 6)]:
-        dim = 1 << n
-        keys = np.arange(dim, dtype=np.int64)
-        va = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        vb = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        out_py = _blade_py.gp_dense(keys, va, keys, vb, p, n)
-        out_cy = _blade_cy.gp_dense(keys, va, keys, vb, p, n)
-        assert np.abs(out_py - out_cy).max() < 1e-12
-
-
-def test_pure_env_var_forces_fallback():
-    code = "from krein_clifford._kernels import BACKEND; print(BACKEND)"
-    env = dict(os.environ, KREIN_CLIFFORD_PURE="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "python"
-
-
 def test_default_backend_reported():
-    assert BACKEND in ("python", "cython")
+    assert BACKEND == "python"

@@ -131,8 +131,9 @@ def test_gammas_payload(capsys):
     assert len(doc["beta"]) == 2 and len(doc["beta"][0][0]) == 2
 
 
-def test_verify_suite(capsys):
-    code, doc, _ = run_json(capsys, "verify", "--suite", "core")
+@pytest.mark.parametrize("suite", ["core", "spinor"])
+def test_verify_suite(capsys, suite):
+    code, doc, _ = run_json(capsys, "verify", "--suite", suite)
     assert code == 0
     assert doc["status"] == "ok"
     assert all(r["ok"] for r in doc["results"])

@@ -16,7 +16,13 @@ from krein_clifford.signature_detect import (
     half_spinor_neutrality,
     krein_positive,
 )
-from krein_clifford.spinor_rep import build_gammas, build_krein_form, chirality, represent
+from krein_clifford.spinor_rep import (
+    KreinForm,
+    build_gammas,
+    build_krein_form,
+    chirality,
+    represent,
+)
 
 LORENTZ_LIKE = [Signature(1, 3), Signature(3, 1), Signature(1, 5), Signature(5, 1)]
 
@@ -60,6 +66,18 @@ def test_cone_examples_lorentz():
     assert r.in_cone and r.component == "future"
     r = cone_test(sig, g, beta, [1.0, 0.0, 0.0, 0.0])
     assert not r.in_cone
+
+
+def test_cone_verdict_does_not_depend_on_call_order():
+    # -beta is as valid a Krein form as beta; each orients its own cone, so
+    # the canonical timelike vector e_1 is future for both, in any order
+    sig = Signature(1, 3)
+    g, beta = _setup(sig)
+    neg = KreinForm(-beta.beta)
+    e1 = [1.0, 0.0, 0.0, 0.0]
+    for form in (neg, beta, neg):
+        r = cone_test(sig, g, form, e1)
+        assert r.in_cone and r.component == "future"
 
 
 def test_near_null_vectors_are_flagged():
