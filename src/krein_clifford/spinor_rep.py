@@ -25,6 +25,9 @@ _SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 _SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 
+MAX_N = 16  # spinor dimension 2^(n/2) <= 256 keeps dense matrices desk-scale
+
+
 class RepresentationError(ValueError):
     pass
 
@@ -56,6 +59,10 @@ class GammaSet:
 
 def build_gammas(sig: Signature) -> GammaSet:
     """Generator matrices: hermitian for eta=+1, antihermitian for eta=-1."""
+    if sig.n > MAX_N:
+        raise RepresentationError(
+            f"n = {sig.n} exceeds the cap n <= {MAX_N} (spinor dimension {2 ** (MAX_N // 2)})"
+        )
     gens = _euclidean_generators(sig.n)
     gammas = tuple(g if i < sig.p else 1j * g for i, g in enumerate(gens))
     return GammaSet(sig, gammas)
@@ -118,22 +125,9 @@ def _fix_matrix_sign(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return sign * m
 
 
-def _intertwiner_nullspace(lhs: list[np.ndarray], rhs: list[np.ndarray], N: int) -> np.ndarray:
-    """One-dimensional solution space of X * lhs_i = rhs_i * X."""
-    eye = np.eye(N)
-    rows = [np.kron(li.T, eye) - np.kron(eye, ri) for li, ri in zip(lhs, rhs)]
-    A = np.vstack(rows)
-    u, s, vh = np.linalg.svd(A)
-    null_dim = int((s < 1e-10 * max(s[0], 1.0)).sum()) + (A.shape[1] - len(s))
-    if null_dim != 1:
-        raise RepresentationError(f"intertwiner null space has dimension {null_dim}")
-    # the kron rows use column-stacking vectorization
-    return vh[-1].conj().reshape(N, N).T
-
-
 def build_krein_form(g: GammaSet) -> KreinForm:
     """Compatible Krein form: product of the hermitian (or antihermitian)
-    generators, hermitian-normalized; falls back to a direct intertwiner solve."""
+    generators, hermitian-normalized."""
     sig = g.sig
     N = g.dim
 
@@ -162,15 +156,6 @@ def build_krein_form(g: GammaSet) -> KreinForm:
     for i in idx:
         cand = cand @ g.gammas[i]
     form = finalize(cand)
-    if form is not None:
-        return form
-
-    # generic path: solve beta gamma_i^dagger = gamma_i beta
-    x = _intertwiner_nullspace([gam.conj().T for gam in g.gammas], list(g.gammas), N)
-    herm = x + x.conj().T
-    if np.abs(herm).max() < 1e-10 * np.abs(x).max():
-        herm = 1j * x + (1j * x).conj().T
-    form = finalize(0.5 * herm)
     if form is None:
         raise RepresentationError("no hermitian involutive Krein form found")
     return form
@@ -222,12 +207,24 @@ def _sign_of(val: complex, what: str, tol: float = 1e-9) -> int:
 def build_charge_conjugation(g: GammaSet, beta: KreinForm) -> tuple[AntilinearOp, int, int]:
     """Antilinear operator C with C gamma_i C^-1 = gamma_i.
 
+    Every ladder generator is real or imaginary, so the matrix of C is the
+    ordered product of the imaginary gammas when they are even in number, of
+    the real ones otherwise: it commutes with the real generators and
+    anticommutes with the imaginary ones (checked, not assumed).
+
     Returns (C, eps_tilde, kappa_tilde) with C^2 = eps_tilde and
     C^x C = kappa_tilde after normalization; residual phase fixed by the
     first nonzero entry of the matrix.
     """
     N = g.dim
-    m = _intertwiner_nullspace([gam.conj() for gam in g.gammas], list(g.gammas), N)
+    imag = [np.abs(gam.real).max() < 1e-12 for gam in g.gammas]
+    pick = sum(imag) % 2 == 0
+    m = np.eye(N, dtype=np.complex128)
+    for gam, im in zip(g.gammas, imag):
+        if im == pick:
+            m = m @ gam
+    if any(np.abs(m @ gam.conj() - gam @ m).max() > 1e-9 for gam in g.gammas):
+        raise RepresentationError("charge conjugation does not intertwine the generators")
     # scale so that C^2 = +/-1
     c2 = _scalar_of(m @ m.conj(), "C^2")
     m = m / np.sqrt(abs(c2))

@@ -42,6 +42,24 @@ def test_ko_table_lorentz_n2(capsys):
     assert doc["rows"][0]["kappa_tilde"] == 1
 
 
+def test_ko_table_refuses_n_above_cap(capsys, monkeypatch):
+    from krein_clifford import spinor_rep
+
+    def no_alloc(n):
+        raise AssertionError("gamma matrices allocated above the cap")
+
+    monkeypatch.setattr(spinor_rep, "_euclidean_generators", no_alloc)
+    code, out, err = run_cli(capsys, "--format", "json", "ko-table", "--case", "euclidean", "--n", "18")
+    assert code == 2 and out == ""
+    assert json.loads(err)["status"] == "fail"
+
+
+def test_ko_table_n16(capsys):
+    code, doc, _ = run_json(capsys, "ko-table", "--case", "lorentz", "--n", "16")
+    assert code == 0
+    assert doc["rows"][0]["n"] == 16 and doc["rows"][0]["ko_dim_mod8"] == 6
+
+
 def test_cone_examples(capsys):
     code, doc, _ = run_json(capsys, "cone", "--p", "1", "--q", "3", "--v", "1,0,0,0")
     assert code == 0 and doc["component"] == "future"

@@ -13,7 +13,10 @@ from krein_clifford.clifford_core import (
 )
 from krein_clifford.spinor_rep import (
     CASES,
+    MAX_N,
     AntilinearOp,
+    GammaSet,
+    RepresentationError,
     antilinear_adjoint,
     build_charge_conjugation,
     build_gammas,
@@ -33,6 +36,33 @@ from krein_clifford.spinor_rep import (
 from conftest import rand_mv
 
 SIGS = [Signature(p, n - p) for n in (2, 4, 6) for p in range(n + 1)]
+SIGS_TO_12 = [Signature(p, n - p) for n in range(2, 13, 2) for p in range(n + 1)]
+
+_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
+_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
+
+
+def _kron_intertwiner(lhs, rhs):
+    """Generic oracle: the one-dimensional solution space of
+    X lhs_i = rhs_i X, from the null space of the stacked kron system."""
+    N = lhs[0].shape[0]
+    eye = np.eye(N)
+    A = np.vstack([np.kron(li.T, eye) - np.kron(eye, ri) for li, ri in zip(lhs, rhs)])
+    _, s, vh = np.linalg.svd(A)
+    null_dim = int((s < 1e-10 * max(s[0], 1.0)).sum()) + (A.shape[1] - len(s))
+    assert null_dim == 1
+    # the kron rows use column-stacking vectorization
+    return vh[-1].conj().reshape(N, N).T
+
+
+def _normalize_conjugation(m):
+    """|C^2| = 1 and the first nonzero entry real positive."""
+    c2 = np.trace(m @ m.conj()) / m.shape[0]
+    m = m / np.sqrt(abs(c2))
+    flat = m.ravel()
+    lead = flat[np.flatnonzero(np.abs(flat) > 1e-12 * np.abs(flat).max())[0]]
+    return m * (abs(lead) / lead)
 
 
 def test_gamma_clifford_relations():
@@ -168,6 +198,58 @@ def test_charge_conjugation_commutes_with_real_elements(rng):
         a = rand_mv(sig, rng)
         lhs = C.conjugate_matrix(represent(g, a))
         assert np.abs(lhs - represent(g, a.conjugate())).max() < 1e-8
+
+
+def test_charge_conjugation_matches_kron_solve():
+    for sig in SIGS:
+        g = build_gammas(sig)
+        C, _, _ = build_charge_conjugation(g, build_krein_form(g))
+        x = _kron_intertwiner([gam.conj() for gam in g.gammas], list(g.gammas))
+        assert np.abs(C.m - _normalize_conjugation(x)).max() < 1e-12
+
+
+def test_charge_conjugation_closed_form_up_to_n12():
+    for sig in SIGS_TO_12:
+        g = build_gammas(sig)
+        C, eps_tilde, kappa_tilde = build_charge_conjugation(g, build_krein_form(g))
+        assert eps_tilde in (1, -1) and kappa_tilde in (1, -1)
+        inv = np.linalg.inv(C.m)
+        for gam in g.gammas:
+            assert np.abs(C.m @ gam.conj() @ inv - gam).max() < 1e-9
+        assert np.abs(C.m @ C.m.conj() - eps_tilde * np.eye(g.dim)).max() < 1e-9
+
+
+def test_charge_conjugation_rejects_non_ladder_generators():
+    sig = Signature(1, 1)
+    beta = build_krein_form(build_gammas(sig))
+    # (X + Y)/sqrt 2 is neither real nor imaginary
+    with pytest.raises(RepresentationError):
+        build_charge_conjugation(GammaSet(sig, (_X, (_X + _Y) / np.sqrt(2))), beta)
+    # X Y Z Z is no Clifford set: the product X fails to commute with Z
+    sig = Signature(2, 2)
+    beta = build_krein_form(build_gammas(sig))
+    with pytest.raises(RepresentationError):
+        build_charge_conjugation(GammaSet(sig, (_X, _Y, _Z, _Z)), beta)
+
+
+def test_krein_form_rejects_non_clifford_generators():
+    # the candidate X is hermitian and involutive but X (2Y)^dagger != 2Y X
+    with pytest.raises(RepresentationError):
+        build_krein_form(GammaSet(Signature(1, 1), (_X, 2 * _Y)))
+
+
+def test_build_gammas_refuses_above_cap():
+    assert build_gammas(Signature(MAX_N - 1, 1)).dim == 256
+    with pytest.raises(RepresentationError):
+        build_gammas(Signature(MAX_N + 2, 0))
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_ko_signs_bott_periodicity(case):
+    for n in (2, 4, 6, 8):
+        low = ko_signs(case_signature(case, n), case).as_dict()
+        high = ko_signs(case_signature(case, n + 8), case).as_dict()
+        assert high == low
 
 
 def test_graded_conjugation_signs_consistent():
