@@ -1,8 +1,14 @@
 """Golden CLI outputs: `ko-table` JSON is pinned byte for byte, `gammas`
 JSON byte for byte except the charge conjugation matrix, which is pinned
-entrywise within 1e-12 (its phase normalization rounds in the last bit)."""
+entrywise within 1e-12 (its phase normalization rounds in the last bit).
+
+`garling`, `csnorm`, `ideal` and `verify --suite ideals|core` are pinned
+as parsed payloads: ints, bools and the text of strings exactly, floats
+within 1e-12, including the numbers written inside strings (multivector
+coefficients, `verify` details), since a reordered sum moves the last bits."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +17,37 @@ import pytest
 from krein_clifford.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+FLOAT_TOL = 1e-12
+# a decimal point or an exponent marks a float; blade labels like e_123 stay text
+_NUMBER = re.compile(r"[-+]?(?:\d+\.\d*(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+)")
+
+
+def _assert_matches(got, want, path="$"):
+    if isinstance(want, float):
+        assert isinstance(got, float), path
+        assert abs(got - want) <= FLOAT_TOL, (path, got, want)
+    elif isinstance(want, str):
+        assert isinstance(got, str), path
+        assert _NUMBER.split(got) == _NUMBER.split(want), (path, got, want)
+        for g, w in zip(_NUMBER.findall(got), _NUMBER.findall(want), strict=True):
+            assert abs(float(g) - float(w)) <= FLOAT_TOL, (path, got, want)
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), path
+        for k in want:
+            _assert_matches(got[k], want[k], f"{path}.{k}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_matches(g, w, f"{path}[{i}]")
+    else:  # int, bool, None
+        assert type(got) is type(want) and got == want, (path, got, want)
+
+
+def _golden_cases(verb):
+    return [pytest.param(rec, id=" ".join(rec["argv"][1:]))
+            for rec in json.loads((GOLDEN / f"{verb}.json").read_text())]
 
 
 def _stdout(capsys, *argv):
@@ -34,3 +71,25 @@ def test_gammas_golden(capsys, p, q):
     assert got_c.shape == want_c.shape
     assert np.abs(got_c - want_c).max() <= 1e-12
     assert json.dumps(doc, sort_keys=True, indent=2) == json.dumps(want, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "rec", [c for verb in ("garling", "csnorm", "ideal", "verify") for c in _golden_cases(verb)]
+)
+def test_algebra_golden(capsys, monkeypatch, rec):
+    monkeypatch.setenv("KREIN_CLIFFORD_SEED", "0")
+    assert main(["--format", "json", *rec["argv"]]) == rec["rc"]
+    out, err = capsys.readouterr()
+    for text, want in ((out, rec["stdout"]), (err, rec["stderr"])):
+        if want is None:
+            assert text == ""
+        else:
+            _assert_matches(json.loads(text), want)
+
+
+def test_golden_matcher_is_strict():
+    _assert_matches({"s": "max residual 1.00e-15", "x": 1.0}, {"s": "max residual 2.00e-15", "x": 1.0})
+    for got, want in [(1, 1.0), ("1.0*e_12", "1.0*e_13"), ("0.5*e_1", "0.6*e_1"), (2.0, 2.1),
+                      ({"a": 1}, {"a": 1, "b": 2}), ([True], [1]), ("3 draws", "4 draws")]:
+        with pytest.raises(AssertionError):
+            _assert_matches(got, want)
