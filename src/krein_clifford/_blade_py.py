@@ -8,9 +8,15 @@ All signs are computed in exact integer arithmetic.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 BACKEND = "python"
+
+# the sign table has 4^n int8 entries: 1 MB at n = 10, and the dense
+# 2^n x 2^n complex matrices read off it take 16 MB there
+MAX_TABLE_N = 10
 
 
 def blade_sign(I: int, J: int, p: int) -> int:
@@ -59,3 +65,25 @@ def gp_dense(
             s = blade_sign(ka, kb, p)
             out[ka ^ kb] += s * va * vals_b[ib]
     return out
+
+
+@lru_cache(maxsize=None)
+def sign_table(p: int, n: int) -> np.ndarray:
+    """Read-only int8 matrix S with S[I, J] = blade_sign(I, J, p).
+
+    The reordering parity counts the pairs (i in I, j in J) with i > j,
+    i.e. the bits of (I >> s) & J over all shifts s >= 1; the metric sign
+    counts the common generators beyond e_p.
+    """
+    if n > MAX_TABLE_N:
+        raise ValueError(
+            f"the blade sign table (4^n entries) is limited to n <= {MAX_TABLE_N}, got n={n}"
+        )
+    masks = np.arange(1 << n, dtype=np.uint16)
+    I, J = masks[:, None], masks[None, :]
+    flips = np.bitwise_count(I & J & ~np.uint16((1 << p) - 1))
+    for s in range(1, n):
+        flips += np.bitwise_count((I >> s) & J)
+    table = (1 - 2 * (flips & 1)).astype(np.int8)
+    table.flags.writeable = False
+    return table

@@ -5,4 +5,4 @@ names so that ``clifford_core`` and the benchmark harness (which reads
 ``BACKEND``) have one stable place to import them from.
 """
 
-from ._blade_py import BACKEND, blade_sign, gp_dense
+from ._blade_py import BACKEND, MAX_TABLE_N, blade_sign, gp_dense, sign_table

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
+from ._kernels import sign_table
 from .clifford_core import (
     AdmissibleRealStructure,
     Multivector,
@@ -26,7 +26,7 @@ from .clifford_core import (
     hermitian_inertia,
     FormSignatureReport,
     is_euclidean,
-    sigma_product,
+    left_multiplication_matrix,
     sigma_product_gram,
 )
 from .spinor_rep import build_gammas, build_krein_form, represent, sigma_compatible_product
@@ -59,6 +59,7 @@ class IdempotentIdeal:
 def ideal_from_idempotent(e: Multivector) -> IdempotentIdeal:
     """Left ideal Cl(V)e of a primitive idempotent, with a deterministic basis."""
     sig = e.sig
+    S = sign_table(sig.p, sig.n)  # refuses n above the table cap up front
     if not (e * e).approx_eq(e, tol=1e-10):
         raise ValueError("e is not idempotent")
     g = build_gammas(sig)
@@ -69,14 +70,18 @@ def ideal_from_idempotent(e: Multivector) -> IdempotentIdeal:
     target = 1 << (sig.n // 2)
     basis: list[Multivector] = []
     ortho: list[np.ndarray] = []
-    for mask in range(1 << sig.n):
-        cand = Multivector(sig, {mask: 1.0}) * e
-        vec = cand.dense()
+    masks = np.arange(1 << sig.n)
+    e_dense = e.dense()
+    for mask in masks:
+        # e_mask e = sum_J e_J S[mask, J] e_{mask^J}
+        cand = np.zeros(1 << sig.n, dtype=np.complex128)
+        cand[mask ^ masks] = S[mask] * e_dense
+        vec = cand
         for u in ortho:
             vec = vec - (u.conj() @ vec) * u
         norm = np.linalg.norm(vec)
         if norm > 1e-9:
-            basis.append(cand)
+            basis.append(Multivector.from_dense(sig, cand))
             ortho.append(vec / norm)
             if len(basis) == target:
                 break
@@ -109,12 +114,13 @@ def build_primitive_idempotent(sig: Signature) -> IdempotentIdeal:
 def restricted_sigma_product(
     ideal: IdempotentIdeal, sigma: AdmissibleRealStructure
 ) -> tuple[np.ndarray, FormSignatureReport]:
-    """Gram matrix of (.,.)_sigma on the ideal basis and its classification."""
-    m = ideal.dim
-    G = np.empty((m, m), dtype=np.complex128)
-    for i, x in enumerate(ideal.ideal_basis):
-        for j, y in enumerate(ideal.ideal_basis):
-            G[i, j] = sigma_product(sigma, x, y)
+    """Gram matrix of (.,.)_sigma on the ideal basis and its classification.
+
+    The form is antilinear in its first slot, so with X the blade
+    coordinates of the basis it is X^H G X for the blade Gram matrix G.
+    """
+    X = ideal.coordinate_matrix()
+    G = X.conj().T @ sigma_product_gram(sigma) @ X
     G = 0.5 * (G + G.conj().T)
     return G, hermitian_inertia(G)
 
@@ -169,14 +175,10 @@ def cstar_norm(sigma: AdmissibleRealStructure, a: Multivector) -> float:
     in a (.,.)_sigma-orthonormal basis.  Requires Euclidean sigma."""
     if not is_euclidean(sigma):
         raise ValueError("the C*-norm is only defined for Euclidean real structures")
-    sig = a.sig
     G = sigma_product_gram(sigma)
     G = 0.5 * (G + G.conj().T)
-    L = np.column_stack(
-        [(a * Multivector(sig, {mask: 1.0})).dense() for mask in range(1 << sig.n)]
-    )
-    T = sla.cholesky(G, lower=False)  # G = T^H T
-    W = T @ L @ np.linalg.inv(T)
+    T = np.linalg.cholesky(G).conj().T  # G = T^H T
+    W = T @ left_multiplication_matrix(a) @ np.linalg.inv(T)
     return float(np.linalg.norm(W, 2))
 
 
@@ -199,7 +201,7 @@ def rho_operator_norm(sigma: AdmissibleRealStructure, a: Multivector) -> float:
         beta_sigma = -beta_sigma
     elif w[0] < 0:
         raise ValueError("sigma-compatible form is not definite")
-    T = sla.cholesky(0.5 * (beta_sigma + beta_sigma.conj().T), lower=False)
+    T = np.linalg.cholesky(0.5 * (beta_sigma + beta_sigma.conj().T)).conj().T
     W = T @ represent(g, a) @ np.linalg.inv(T)
     return float(np.linalg.norm(W, 2))
 

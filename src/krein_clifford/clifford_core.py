@@ -13,7 +13,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from ._kernels import gp_dense
+from ._kernels import gp_dense, sign_table
 
 PRUNE_TOL = 0.0  # coefficients equal to exact zero are dropped
 DEFINITENESS_TOL = 1e-9
@@ -58,6 +58,9 @@ class Signature:
 
 def _reversal_sign(k: int) -> int:
     return -1 if (k * (k - 1) // 2) % 2 else 1
+
+
+_REVERSAL_SIGN_MOD4 = np.array([1, 1, -1, -1])  # _reversal_sign(k) by k mod 4
 
 
 class Multivector:
@@ -382,19 +385,39 @@ def induced_bilinear(sigma: AdmissibleRealStructure, v: Multivector, w: Multivec
     return val.real
 
 
-def sigma_gram_on_generators(sigma: AdmissibleRealStructure) -> np.ndarray:
+def _sigma_gram_rows(sigma: AdmissibleRealStructure, rows: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` of the sigma-product Gram matrix on the blade basis.
+
+    Row I is built from sigma(e_I^T) = rev(|I|) b e_I b^{-1}: each pair of
+    terms (K of b, L of b^{-1}) puts rev(|I|) b_K c_L S[K,I] S[K^I,L] into
+    column J = K^I^L, for all rows at once, scaled by S[J,J] because
+    tau(x e_J) = x_J S[J,J].
+    """
     sig = sigma.sig
-    es = [Multivector.basis_vector(sig, i) for i in range(1, sig.n + 1)]
-    G = np.empty((sig.n, sig.n))
-    for i in range(sig.n):
-        for j in range(i, sig.n):
-            G[i, j] = G[j, i] = induced_bilinear(sigma, es[i], es[j])
-    return G
+    S = sign_table(sig.p, sig.n)
+    tau = np.diagonal(S)
+    rev = _REVERSAL_SIGN_MOD4[np.bitwise_count(rows) % 4]
+    out = np.zeros((len(rows), 1 << sig.n), dtype=np.complex128)
+    at = np.arange(len(rows))
+    for K, bK in sigma.b.coeffs.items():
+        KI = K ^ rows
+        bS = bK * rev * S[K, rows]
+        for L, cL in sigma.b_inv.coeffs.items():
+            # for fixed K, L the columns K^I^L are distinct, so += is safe
+            cols = KI ^ L
+            out[at, cols] += cL * bS * S[KI, L] * tau[cols]
+    return out
 
 
 def is_euclidean(sigma: AdmissibleRealStructure) -> bool:
-    """True iff the rotated metric on the generators is positive definite."""
-    w = np.linalg.eigvalsh(sigma_gram_on_generators(sigma))
+    """True iff the rotated metric on the generators is positive definite.
+
+    The metric B(sigma(v), w), symmetrized, is the real symmetric part of
+    the generator block of the sigma-product Gram matrix.
+    """
+    gens = 1 << np.arange(sigma.sig.n)
+    G = _sigma_gram_rows(sigma, gens)[:, gens]
+    w = np.linalg.eigvalsh(0.5 * (G + G.T).real)
     return bool(w[0] > DEFINITENESS_TOL * max(abs(w).max(), 1.0))
 
 
@@ -453,19 +476,19 @@ def hermitian_inertia(H: np.ndarray, tol: float = DEFINITENESS_TOL) -> FormSigna
 
 
 def sigma_product_gram(sigma: AdmissibleRealStructure) -> np.ndarray:
-    """Gram matrix of the sigma-product on the full blade basis."""
-    sig = sigma.sig
-    dim = 1 << sig.n
-    crossed = []
-    for I in range(dim):
-        eI = Multivector(sig, {I: 1.0})
-        crossed.append(sigma.sigma_cross(eI))
-    G = np.empty((dim, dim), dtype=np.complex128)
-    for I in range(dim):
-        for J in range(dim):
-            eJ = Multivector(sig, {J: 1.0})
-            G[I, J] = (crossed[I] * eJ).normalized_trace()
-    return G
+    """Gram matrix G[I, J] = (e_I, e_J)_sigma on the full blade basis."""
+    return _sigma_gram_rows(sigma, np.arange(1 << sigma.sig.n))
+
+
+def left_multiplication_matrix(a: Multivector) -> np.ndarray:
+    """Matrix of x |-> a x on blade coordinates: column m is a e_m, that is
+    a_I S[I, m] in row I^m for every term a_I e_I."""
+    S = sign_table(a.sig.p, a.sig.n)
+    masks = np.arange(len(S))
+    L = np.zeros(S.shape, dtype=np.complex128)
+    for I, aI in a.coeffs.items():
+        L[I ^ masks, masks] += aI * S[I]
+    return L
 
 
 def gram_signature_sigma_product(sigma: AdmissibleRealStructure) -> FormSignatureReport:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from krein_clifford._kernels import BACKEND, blade_sign
+from krein_clifford._kernels import BACKEND, MAX_TABLE_N, blade_sign, sign_table
 
 _SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -55,3 +55,36 @@ def test_identity_blade_is_neutral():
 
 def test_default_backend_reported():
     assert BACKEND == "python"
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_sign_table_matches_blade_sign(n):
+    for p in range(n + 1):
+        S = sign_table(p, n)
+        assert S.dtype == np.int8 and S.shape == (1 << n, 1 << n)
+        expected = [[blade_sign(I, J, p) for J in range(1 << n)] for I in range(1 << n)]
+        assert (S == np.array(expected)).all(), (p, n)
+
+
+def test_sign_table_sample_at_n8():
+    rng = np.random.default_rng(8)
+    for p in (0, 3, 8):
+        S = sign_table(p, 8)
+        for I, J in rng.integers(0, 1 << 8, size=(2000, 2)):
+            assert S[I, J] == blade_sign(int(I), int(J), p)
+
+
+def test_sign_table_is_read_only_and_cached():
+    S = sign_table(1, 3)
+    assert not S.flags.writeable
+    with pytest.raises(ValueError):
+        S[0, 0] = -1
+    assert sign_table(1, 3) is S
+
+
+def test_sign_table_refuses_n_above_cap():
+    assert MAX_TABLE_N == 10
+    with pytest.raises(ValueError, match="n <= 10"):
+        sign_table(6, 12)
+    with pytest.raises(ValueError, match="n <= 10"):
+        sign_table(0, 40)  # would need 2^80 entries: the check comes first

@@ -1,6 +1,10 @@
 """CLI contract: JSON payloads, exit codes, determinism, error paths."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -82,6 +86,38 @@ def test_garling_examples(capsys):
     assert doc["inertia"] == [2, 2, 0]
     code, doc, _ = run_json(capsys, "garling", "--p", "1", "--q", "3", "--b", "e_1")
     assert code == 0 and doc["classification"] == "positive_definite"
+
+
+def test_algebra_verbs_refuse_n_above_table_cap(capsys, monkeypatch):
+    from krein_clifford import clifford_core
+
+    def no_products(*args):
+        raise AssertionError("blade products computed above the cap")
+
+    monkeypatch.setattr(clifford_core, "gp_dense", no_products)
+    code, out, err = run_cli(capsys, "--format", "json", "garling", "--p", "6", "--q", "6")
+    assert code == 2 and out == ""
+    assert "n <= 10" in json.loads(err)["error"]
+    monkeypatch.undo()
+    for argv in (("ideal", "--p", "6", "--q", "6"),
+                 ("csnorm", "--p", "6", "--q", "6", "--b", "e_123456", "--a", "1.0*e_1")):
+        code, out, err = run_cli(capsys, "--format", "json", *argv)
+        assert code == 2 and out == ""
+        assert "n <= 10" in json.loads(err)["error"]
+
+
+def test_garling_at_table_cap(capsys):
+    code, doc, _ = run_json(capsys, "garling", "--p", "5", "--q", "5")
+    assert code == 0
+    assert doc["inertia"] == [512, 512, 0] and doc["classification"] == "neutral"
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(__import__("krein_clifford").__file__).parents[1])
+    code = "import sys, krein_clifford.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_garling_rejects_non_admissible(capsys):
