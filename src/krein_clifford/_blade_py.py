@@ -73,7 +73,8 @@ def sign_table(p: int, n: int) -> np.ndarray:
 
     The reordering parity counts the pairs (i in I, j in J) with i > j,
     i.e. the bits of (I >> s) & J over all shifts s >= 1; the metric sign
-    counts the common generators beyond e_p.
+    counts the common generators beyond e_p.  Cached per (p, n); under the
+    cap all tables together take about 14 MB.
     """
     if n > MAX_TABLE_N:
         raise ValueError(

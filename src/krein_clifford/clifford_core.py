@@ -60,7 +60,7 @@ def _reversal_sign(k: int) -> int:
     return -1 if (k * (k - 1) // 2) % 2 else 1
 
 
-_REVERSAL_SIGN_MOD4 = np.array([1, 1, -1, -1])  # _reversal_sign(k) by k mod 4
+_REVERSAL_SIGN_MOD4 = np.array([_reversal_sign(k) for k in range(4)])  # period 4 in k
 
 
 class Multivector:
