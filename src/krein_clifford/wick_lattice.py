@@ -194,8 +194,28 @@ def anticommutation_residual(D: FieldOperator, C: AntilinearOp) -> float:
     return _max_abs_entry(D.matrix @ m + m @ D.matrix.conj())
 
 
+SORT_TOL = 1e-9  # relative to the largest |eigenvalue|
+
+
+def sort_spectrum(vals: np.ndarray) -> np.ndarray:
+    """Eigenvalues sorted by |.| descending, then phase ascending in (-pi, pi].
+
+    Spectra are highly degenerate, so the key must not see rounding noise:
+    real and imaginary parts within SORT_TOL * max|.| of zero are snapped to
+    +0.0 (which also folds the phase -pi onto pi), and |.| and the phase are
+    rounded to that tolerance before sorting.
+    """
+    tol = SORT_TOL * (np.abs(vals).max(initial=0.0) or 1.0)
+    vals = np.where(np.abs(vals.real) <= tol, 0.0, vals.real) + 1j * np.where(
+        np.abs(vals.imag) <= tol, 0.0, vals.imag
+    )
+    mag = np.round(np.abs(vals) / tol)
+    phase = np.round(np.angle(vals) / SORT_TOL)
+    return vals[np.lexsort((phase, -mag))]
+
+
 def spectrum(D: FieldOperator, k: int | None = None, seed: int = 0) -> np.ndarray:
-    """Eigenvalues of largest magnitude, sorted (|.| desc, phase asc)."""
+    """Eigenvalues of largest magnitude, in the order of `sort_spectrum`."""
     dim = D.matrix.shape[0]
     if dim > HARD_CAP:
         raise ValueError(f"operator dimension {dim} exceeds hard cap {HARD_CAP}")
@@ -207,8 +227,7 @@ def spectrum(D: FieldOperator, k: int | None = None, seed: int = 0) -> np.ndarra
         rng = np.random.default_rng(seed)
         v0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         vals = spla.eigs(D.matrix, k=min(k, dim - 2), v0=v0, return_eigenvectors=False)
-    order = np.lexsort((np.angle(vals), -np.abs(vals)))
-    return vals[order][:k]
+    return sort_spectrum(vals)[:k]
 
 
 def export_coo_text(D: FieldOperator) -> str:

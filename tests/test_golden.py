@@ -2,10 +2,11 @@
 JSON byte for byte except the charge conjugation matrix, which is pinned
 entrywise within 1e-12 (its phase normalization rounds in the last bit).
 
-`garling`, `csnorm`, `ideal` and `verify --suite ideals|core` are pinned
-as parsed payloads: ints, bools and the text of strings exactly, floats
-within 1e-12, including the numbers written inside strings (multivector
-coefficients, `verify` details), since a reordered sum moves the last bits."""
+`garling`, `csnorm`, `ideal`, `wick` and `verify --suite ideals|core` are
+pinned as parsed payloads: ints, bools and the text of strings exactly,
+floats within 1e-12, including the numbers written inside strings
+(multivector coefficients, `verify` details), since a reordered sum moves
+the last bits."""
 
 import json
 import re
@@ -74,7 +75,7 @@ def test_gammas_golden(capsys, p, q):
 
 
 @pytest.mark.parametrize(
-    "rec", [c for verb in ("garling", "csnorm", "ideal", "verify") for c in _golden_cases(verb)]
+    "rec", [c for verb in ("garling", "csnorm", "ideal", "wick", "verify") for c in _golden_cases(verb)]
 )
 def test_algebra_golden(capsys, monkeypatch, rec):
     monkeypatch.setenv("KREIN_CLIFFORD_SEED", "0")

@@ -26,6 +26,7 @@ from krein_clifford.wick_lattice import (
     operator_max_diff,
     plane_wave_block,
     rotated_gammas,
+    sort_spectrum,
     spectrum,
     wick_rotate_operator,
 )
@@ -149,6 +150,20 @@ def test_spectrum_sorting_and_caps():
     big = FieldOperator(sp.identity(HARD_CAP + 2, dtype=np.complex128), spec)
     with pytest.raises(ValueError):
         spectrum(big)
+
+
+def test_sort_spectrum_ignores_rounding_noise():
+    # a degenerate top shell on both sides of the branch cut at -pi
+    base = np.array([2.0, -2.0, 2j, -2j, 1.0, -1.0, 0.0], dtype=complex)
+    want = sort_spectrum(base)
+    np.testing.assert_array_equal(want, [-2j, 2.0, 2j, -2.0, 1.0, -1.0, 0.0])
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        vals = np.repeat(base, 3)
+        vals = vals + 1e-14 * (rng.normal(size=vals.size) + 1j * rng.normal(size=vals.size))
+        got = sort_spectrum(vals[rng.permutation(vals.size)])
+        assert np.abs(got - np.repeat(want, 3)).max() < 1e-13
+    assert sort_spectrum(np.array([-1 - 0j, -1 + 1e-15j]))[0].imag == 0.0
 
 
 def test_spectrum_sparse_path_agrees_with_oracle():
