@@ -139,10 +139,16 @@ def test_wick_flat_example(capsys):
 def test_wick_size_errors(capsys):
     code, _, err = run_cli(capsys, "wick", "--p", "2", "--q", "0", "--sites", "2")
     assert code == 2 and err
-    code, _, err = run_cli(capsys, "wick", "--p", "4", "--q", "0", "--sites", "8")
-    assert code == 2  # 8^4 * 4 exceeds the dense cap: refuse, don't degrade
+    code, _, err = run_cli(capsys, "wick", "--p", "4", "--q", "0", "--sites", "17")
+    assert code == 2 and "MAX_DIM" in err  # 17^4 * 4 > 2^18: refused before assembly
     code, _, err = run_cli(capsys, "wick", "--p", "1", "--q", "3", "--sites", "4")
     assert code == 2  # source must be Euclidean
+
+
+def test_consecutive_calls_share_no_parser_state(capsys):
+    argv = ("wick", "--p", "2", "--q", "0", "--sites", "5")
+    assert run_json(capsys, *argv, "--spacing", "0.5")[1]["spacing"] == 0.5
+    assert run_json(capsys, *argv)[1]["spacing"] == 1.0
 
 
 def test_csnorm(capsys):

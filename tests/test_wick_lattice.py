@@ -1,6 +1,7 @@
 """Lattice Dirac operators: plane-wave spectral oracle, Wick rotation
 round trips, and the export formats."""
 
+import itertools
 import json
 
 import numpy as np
@@ -10,8 +11,7 @@ import scipy.sparse as sp
 from krein_clifford.clifford_core import Multivector, Signature, make_sigma_from_vector
 from krein_clifford.spinor_rep import AntilinearOp, build_gammas
 from krein_clifford.wick_lattice import (
-    DENSE_CAP,
-    HARD_CAP,
+    MAX_DIM,
     FieldOperator,
     LatticeSpec,
     anticommutation_residual,
@@ -38,6 +38,30 @@ def _raised_gammas(g):
     return [g.sig.eta(mu + 1) * g.gammas[mu] for mu in range(g.sig.n)]
 
 
+def _plane_wave_spectrum(spec, gammas_up):
+    modes = itertools.product(range(spec.sites_per_dim), repeat=spec.sig.n)
+    return np.concatenate([np.linalg.eigvals(plane_wave_block(spec, gammas_up, k)) for k in modes])
+
+
+def _assert_same_multiset(got, want):
+    """Greedy pairing of two multisets of eigenvalues within PAIR_TOL."""
+    assert len(got) == len(want)
+    want = np.sort_complex(want)
+    used = np.zeros(len(want), dtype=bool)
+    for z in np.sort_complex(got):
+        d = np.abs(want - z)
+        d[used] = np.inf
+        j = d.argmin()
+        assert d[j] < PAIR_TOL, (z, want[j])
+        used[j] = True
+
+
+def _rotated(sig, spec, g, D):
+    """D_sigma for b = e_1 and its per-site symmetry block."""
+    B = build_fundamental_symmetry(spec, g, make_sigma_from_vector(Multivector.basis_vector(sig, 1)))
+    return wick_rotate_operator(D, B), B.matrix[:: spec.n_sites, :: spec.n_sites].toarray()
+
+
 def test_lattice_spec_validation():
     with pytest.raises(ValueError):
         LatticeSpec(Signature(1, 1), 2)
@@ -53,22 +77,7 @@ def test_lattice_spec_validation():
 def test_dirac_spectrum_matches_plane_wave_oracle(pq, N):
     sig = Signature(*pq)
     spec, g, beta, D, beta_field = flat_dirac_package(sig, N)
-    got = np.sort_complex(np.linalg.eigvals(D.matrix.toarray()))
-    oracle = []
-    gu = _raised_gammas(g)
-    for k0 in range(N):
-        for k1 in range(N):
-            oracle.extend(np.linalg.eigvals(plane_wave_block(spec, gu, (k0, k1))))
-    oracle = np.sort_complex(np.array(oracle))
-    assert len(got) == len(oracle)
-    # greedy pairing of two sorted multisets
-    used = np.zeros(len(oracle), dtype=bool)
-    for z in got:
-        d = np.abs(oracle - z)
-        d[used] = np.inf
-        j = d.argmin()
-        assert d[j] < PAIR_TOL, (z, oracle[j])
-        used[j] = True
+    _assert_same_multiset(np.linalg.eigvals(D.matrix.toarray()), _plane_wave_spectrum(spec, _raised_gammas(g)))
 
 
 def test_dirac_is_krein_selfadjoint_and_anticommutes_with_C():
@@ -147,9 +156,33 @@ def test_spectrum_sorting_and_caps():
     vals = spectrum(D, k=8)
     mags = np.abs(vals)
     assert all(mags[i] >= mags[i + 1] - 1e-12 for i in range(len(mags) - 1))
-    big = FieldOperator(sp.identity(HARD_CAP + 2, dtype=np.complex128), spec)
-    with pytest.raises(ValueError):
-        spectrum(big)
+    assert LatticeSpec(Signature(4, 0), 16).total_dim == MAX_DIM
+    with pytest.raises(ValueError, match="MAX_DIM"):
+        LatticeSpec(Signature(4, 0), 17)
+
+
+@pytest.mark.parametrize("pq,N", [((1, 1), 4), ((2, 0), 5), ((4, 0), 3)])
+def test_spectrum_matches_dense_eigvals(pq, N):
+    sig = Signature(*pq)
+    spec, g, beta, D, _ = flat_dirac_package(sig, N)
+    D_sigma, _ = _rotated(sig, spec, g, D)
+    for op in (D, D_sigma):
+        _assert_same_multiset(spectrum(op, k=spec.total_dim), np.linalg.eigvals(op.matrix.toarray()))
+
+
+def test_spectrum_agrees_with_plane_wave_blocks():
+    sig = Signature(2, 0)
+    spec, g, beta, D, _ = flat_dirac_package(sig, 65)
+    D_sigma, Bblk = _rotated(sig, spec, g, D)
+    for op, gammas_up in ((D, _raised_gammas(g)), (D_sigma, rotated_gammas(g, Bblk))):
+        _assert_same_multiset(spectrum(op, k=spec.total_dim), _plane_wave_spectrum(spec, gammas_up))
+
+
+def test_spectrum_refuses_operator_without_translation_invariance():
+    spec, g, beta, D, _ = flat_dirac_package(Signature(2, 0), 5)
+    mass = sp.csr_matrix(([0.5], ([0], [0])), shape=D.shape, dtype=np.complex128)
+    with pytest.raises(ValueError, match="not translation invariant"):
+        spectrum(FieldOperator(D.matrix + mass, spec))
 
 
 def test_sort_spectrum_ignores_rounding_noise():
@@ -164,22 +197,6 @@ def test_sort_spectrum_ignores_rounding_noise():
         got = sort_spectrum(vals[rng.permutation(vals.size)])
         assert np.abs(got - np.repeat(want, 3)).max() < 1e-13
     assert sort_spectrum(np.array([-1 - 0j, -1 + 1e-15j]))[0].imag == 0.0
-
-
-def test_spectrum_sparse_path_agrees_with_oracle():
-    N = 65  # 2 * 65^2 = 8450 > DENSE_CAP exercises the iterative path
-    sig = Signature(2, 0)
-    spec, g, beta, D, _ = flat_dirac_package(sig, N)
-    assert spec.total_dim > DENSE_CAP
-    vals = spectrum(D, k=4, seed=0)
-    gu = _raised_gammas(g)
-    oracle = []
-    for k0 in range(N):
-        for k1 in range(N):
-            oracle.extend(np.linalg.eigvals(plane_wave_block(spec, gu, (k0, k1))))
-    oracle = np.array(oracle)
-    for z in vals:
-        assert np.abs(oracle - z).min() < 1e-8
 
 
 def test_export_formats():
