@@ -38,8 +38,7 @@ from .spinor_rep import (
     represent,
 )
 
-# Largest lattice dimension N^n * d accepted; (4,0) N=16 is 2^18, and `wick`
-# on it takes a few seconds and under 400 MB.
+# Largest lattice dimension N^n * d accepted; (4,0) N=16 sits exactly at it.
 MAX_DIM = 1 << 18
 
 
