@@ -20,6 +20,7 @@ from . import algebraic_spinors as asp
 from . import signature_detect as sd
 from . import spinor_rep as sr
 from . import verify as vf
+from . import wick_lattice as wl
 from .clifford_core import (
     AdmissibleRealStructure,
     Multivector,
@@ -107,11 +108,6 @@ def cmd_garling(args) -> int:
 
 
 def cmd_wick(args) -> int:
-    # scipy loads only for lattice work, not on every verb's import path
-    import scipy.sparse as sp
-
-    from . import wick_lattice as wl
-
     sig = _sig(args)
     if sig.q != 0:
         raise ValueError("the wick verb rotates a Euclidean (q=0) lattice operator")
@@ -126,7 +122,7 @@ def cmd_wick(args) -> int:
     D_sigma = wl.wick_rotate_operator(D, B)
     _, g_t, beta_t, D_direct, beta_field_t = wl.flat_dirac_package(sig=target, sites=args.sites, spacing=args.spacing)
     C_E = wl.build_field_charge_conjugation(spec, g, beta)
-    C_sigma = sr.AntilinearOp(B.matrix @ sp.csr_matrix(C_E.m))
+    C_sigma = sr.AntilinearOp(B.blocks[0] @ C_E.m)
     residuals = {
         "direct_compare": wl.operator_max_diff(D_sigma, D_direct),
         "selfadjoint": wl.krein_selfadjoint_residual(D_sigma, beta_field_t),

@@ -141,9 +141,6 @@ class Multivector:
             self.sig, {m: v for m, v in self._coeffs.items() if bin(m).count("1") == k}
         )
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(abs(v) <= tol for v in self._coeffs.values())
-
     def is_scalar(self, tol: float = 1e-12) -> bool:
         return all(abs(v) <= tol for m, v in self._coeffs.items() if m != 0)
 

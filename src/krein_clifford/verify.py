@@ -11,6 +11,7 @@ import numpy as np
 from . import algebraic_spinors as asp
 from . import signature_detect as sd
 from . import spinor_rep as sr
+from . import wick_lattice as wl
 from .clifford_core import (
     AdmissibleRealStructure,
     Multivector,
@@ -157,11 +158,6 @@ def run_cone(seed: int) -> list[tuple[str, bool, str]]:
 
 
 def run_wick(seed: int) -> list[tuple[str, bool, str]]:
-    # scipy loads only for lattice work, not on every verb's import path
-    import scipy.sparse as sp
-
-    from . import wick_lattice as wl
-
     out = []
     sigE, sigL = Signature(4, 0), Signature(1, 3)
     specE, gE, betaE, DE, bfE = wl.flat_dirac_package(sigE, 4)
@@ -176,7 +172,7 @@ def run_wick(seed: int) -> list[tuple[str, bool, str]]:
     sa = wl.krein_selfadjoint_residual(Ds, bfL)
     out.append(("rotated_selfadjoint", sa <= 1e-12, f"residual {sa:.2e}"))
     CE = wl.build_field_charge_conjugation(specE, gE, betaE)
-    Cs = sr.AntilinearOp(B.matrix @ sp.csr_matrix(CE.m))
+    Cs = sr.AntilinearOp(B.blocks[0] @ CE.m)
     ac = wl.anticommutation_residual(Ds, Cs)
     out.append(("rotated_anticommutes_C", ac <= 1e-12, f"residual {ac:.2e}"))
     return out

@@ -1,9 +1,11 @@
 """Flat lattice Dirac operators and their Wick rotation.
 
-A free Dirac operator on a periodic N^n lattice is assembled as
-D = -i * sum_mu gamma^mu (x) d_mu with centered differences.  A constant
-normalized rotation element b yields a block-diagonal fundamental symmetry
-B, and the rotated operator is
+A free Dirac operator on a periodic N^n lattice is
+D = -i * sum_mu gamma^mu (x) d_mu with centered differences d_mu.  Every
+operator here is A = A_0 (x) 1 + sum_mu A_{mu+1} (x) d_mu, stored as its
+(n+1, d, d) stack of spinor blocks (`FieldOperator`).  A constant
+normalized rotation element b yields a site-by-site fundamental symmetry B,
+and the rotated operator is
 
     D_sigma = (1+i)/2 * B D B^{-1} + (1-i)/2 * D,
 
@@ -11,9 +13,11 @@ with the inverse map restoring D exactly.  The rotated operator is
 self-adjoint for the positive product attached to b and anticommutes with
 the rotated charge conjugation B*C.
 
-Both operators commute with the lattice shifts, so their spectra are the
-union of the eigenvalues of d x d plane-wave blocks, one per momentum;
-`spectrum` reads those blocks off the operator with one FFT.
+Rotation, adjoints and residuals act on the blocks.  The operators commute
+with the lattice shifts by construction, so a spectrum is the union of the
+eigenvalues of the d x d plane-wave blocks, written in closed form: no FFT
+and no shift check.  Only `FieldOperator.matrix`, for the exports and the
+test oracles, assembles a sparse matrix and loads scipy.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .clifford_core import (
     AdmissibleRealStructure,
@@ -74,45 +77,56 @@ class LatticeSpec:
 
 @dataclass(frozen=True, eq=False)
 class FieldOperator:
-    matrix: sp.spmatrix
+    """A = blocks[0] (x) 1 + sum_mu blocks[mu+1] (x) d_mu on the lattice `spec`.
+
+    Indices run (spinor s, site x), sites in row-major order over the
+    lattice axes.
+    """
+
     spec: LatticeSpec
+    blocks: np.ndarray
+
+    def __post_init__(self):
+        want = (self.spec.sig.n + 1, self.spec.spinor_dim, self.spec.spinor_dim)
+        if np.shape(self.blocks) != want:
+            raise ValueError(f"blocks of shape {np.shape(self.blocks)}, expected {want}")
 
     @property
-    def shape(self):
-        return self.matrix.shape
+    def matrix(self):
+        """The assembled scipy sparse matrix (CSR)."""
+        import scipy.sparse as sp
+
+        spec = self.spec
+        n_sites = spec.n_sites
+        sites = np.arange(n_sites).reshape((spec.sites_per_dim,) * spec.sig.n)
+        out = sp.kron(self.blocks[0], sp.identity(n_sites), format="csr")
+        for mu, blk in enumerate(self.blocks[1:]):
+            ahead = np.roll(sites, -1, axis=mu).ravel()
+            up = sp.csr_matrix((np.ones(n_sites), (sites.ravel(), ahead)), shape=(n_sites, n_sites))
+            out = out + sp.kron(blk, (up - up.T) / (2.0 * spec.spacing), format="csr")
+        return out
 
 
-def _shift(N: int, step: int) -> sp.spmatrix:
-    """Periodic shift by `step` sites on a 1-d chain of length N."""
-    return sp.eye(N, format="csr", dtype=np.complex128)[np.roll(np.arange(N), step)]
+def _site_operator(spec: LatticeSpec, m: np.ndarray) -> FieldOperator:
+    """The spinor block m acting on every site."""
+    blocks = np.zeros((spec.sig.n + 1, spec.spinor_dim, spec.spinor_dim), dtype=np.complex128)
+    blocks[0] = m
+    return FieldOperator(spec, blocks)
 
 
-def _partial(spec: LatticeSpec, mu: int) -> sp.spmatrix:
-    """Centered difference along lattice axis mu (0-based) on N^n sites."""
-    N = spec.sites_per_dim
-    d1 = (_shift(N, -1) - _shift(N, 1)) / (2.0 * spec.spacing)
-    factors = [sp.identity(N, dtype=np.complex128, format="csr")] * spec.sig.n
-    factors[mu] = d1
-    out = factors[0]
-    for f in factors[1:]:
-        out = sp.kron(out, f, format="csr")
-    return out
-
-
-def _site_block(spec: LatticeSpec, m: np.ndarray) -> sp.spmatrix:
-    """Site-independent spinor block m replicated over the lattice."""
-    return sp.kron(sp.csr_matrix(m), sp.identity(spec.n_sites, dtype=np.complex128), format="csr")
+def _site_part(A: FieldOperator, what: str) -> np.ndarray:
+    """The spinor block of an operator that acts site by site."""
+    if A.blocks[1:].any():
+        raise ValueError(f"{what} does not act site by site")
+    return A.blocks[0]
 
 
 def build_flat_dirac(spec: LatticeSpec, g: GammaSet) -> FieldOperator:
     """D = -i sum_mu gamma^mu (x) d_mu, index raised by the flat metric."""
     if g.sig != spec.sig:
         raise ValueError("gamma set and lattice have different signatures")
-    D = sp.csr_matrix((spec.total_dim, spec.total_dim), dtype=np.complex128)
-    for mu in range(spec.sig.n):
-        gamma_up = spec.sig.eta(mu + 1) * g.gammas[mu]
-        D = D + (-1j) * sp.kron(sp.csr_matrix(gamma_up), _partial(spec, mu), format="csr")
-    return FieldOperator(D.tocsr(), spec)
+    up = [-1j * spec.sig.eta(mu + 1) * gam for mu, gam in enumerate(g.gammas)]
+    return FieldOperator(spec, np.stack([np.zeros_like(up[0]), *up]))
 
 
 def build_fundamental_symmetry(spec: LatticeSpec, g: GammaSet, b) -> FieldOperator:
@@ -125,41 +139,35 @@ def build_fundamental_symmetry(spec: LatticeSpec, g: GammaSet, b) -> FieldOperat
         Bblk = 1j * Bblk  # b^2 = -1: the involutive symmetry is i*rho(b)
     elif np.abs(sq - np.eye(spec.spinor_dim)).max() > 1e-10:
         raise ValueError("rho(b)^2 != +/-I; b is not a valid fundamental symmetry")
-    return FieldOperator(_site_block(spec, Bblk), spec)
+    return _site_operator(spec, Bblk)
 
 
 def build_field_charge_conjugation(
     spec: LatticeSpec, g: GammaSet, beta: KreinForm
 ) -> AntilinearOp:
-    """The spinor charge conjugation replicated over the lattice sites."""
-    C, _, _ = build_charge_conjugation(g, beta)
-    return AntilinearOp(_site_block(spec, C.m))
+    """The spinor charge conjugation; its d x d matrix acts site by site."""
+    return build_charge_conjugation(g, beta)[0]
 
 
-def _max_abs_entry(m: sp.spmatrix) -> float:
-    """Largest |entry| of a sparse matrix in any format (DIA has no .max())."""
-    d = m.tocoo()
-    return float(np.abs(d.data).max()) if d.nnz else 0.0
-
-
-def _check_involutive(B: FieldOperator):
-    dev = _max_abs_entry(B.matrix @ B.matrix - sp.identity(B.matrix.shape[0], dtype=np.complex128))
-    if dev > 1e-10:
+def _involution(B: FieldOperator) -> np.ndarray:
+    """The spinor block of a site-by-site B with B^2 = I."""
+    B0 = _site_part(B, "fundamental symmetry")
+    if np.abs(B0 @ B0 - np.eye(len(B0))).max() > 1e-10:
         raise ValueError("fundamental symmetry is not involutive")
+    return B0
 
 
 def wick_rotate_operator(D: FieldOperator, B: FieldOperator) -> FieldOperator:
     """D_sigma = (1+i)/2 * B D B^{-1} + (1-i)/2 * D  (with B^{-1} = B)."""
-    _check_involutive(B)
-    M = 0.5 * (1 + 1j) * (B.matrix @ D.matrix @ B.matrix) + 0.5 * (1 - 1j) * D.matrix
-    return FieldOperator(M.tocsr(), D.spec)
+    B0 = _involution(B)
+    return FieldOperator(D.spec, 0.5 * (1 + 1j) * (B0 @ D.blocks @ B0) + 0.5 * (1 - 1j) * D.blocks)
 
 
 def inverse_wick(D_sigma: FieldOperator, B: FieldOperator) -> FieldOperator:
     """D = (1-i)/2 * B^{-1} D_sigma B + (1+i)/2 * D_sigma; exact inverse."""
-    _check_involutive(B)
-    M = 0.5 * (1 - 1j) * (B.matrix @ D_sigma.matrix @ B.matrix) + 0.5 * (1 + 1j) * D_sigma.matrix
-    return FieldOperator(M.tocsr(), D_sigma.spec)
+    B0 = _involution(B)
+    blocks = D_sigma.blocks
+    return FieldOperator(D_sigma.spec, 0.5 * (1 - 1j) * (B0 @ blocks @ B0) + 0.5 * (1 + 1j) * blocks)
 
 
 def rotated_gammas(g: GammaSet, Bblk: np.ndarray) -> list[np.ndarray]:
@@ -186,24 +194,34 @@ def plane_wave_block(spec: LatticeSpec, gammas_up: list[np.ndarray], modes: tupl
     return out
 
 
+def _max_entry(spec: LatticeSpec, blocks: np.ndarray) -> float:
+    """Largest |entry| of the assembled operator with these blocks.
+
+    With N >= 3 the stencil offsets 0 and +/-e_mu are distinct, so every
+    entry is an entry of blocks[0] or +/- an entry of blocks[mu+1] / 2h.
+    """
+    return float(max(np.abs(blocks[0]).max(), np.abs(blocks[1:]).max() / (2.0 * spec.spacing)))
+
+
 def operator_max_diff(A: FieldOperator, B: FieldOperator) -> float:
-    return _max_abs_entry(A.matrix - B.matrix)
+    return _max_entry(A.spec, A.blocks - B.blocks)
 
 
 def krein_selfadjoint_residual(D: FieldOperator, beta_field: FieldOperator) -> float:
     """Max-entry residual of beta*D - (beta*D)^dagger."""
-    H = (beta_field.matrix @ D.matrix).tocsr()
-    return _max_abs_entry(H - H.conj().T)
+    H = _site_part(beta_field, "Krein form") @ D.blocks
+    H_adj = H.conj().swapaxes(-1, -2)
+    H_adj[1:] *= -1  # d_mu is real and antisymmetric
+    return _max_entry(D.spec, H - H_adj)
 
 
 def anticommutation_residual(D: FieldOperator, C: AntilinearOp) -> float:
-    """Max-entry residual of {D, C} for antilinear C = (m, conj)."""
-    m = sp.csr_matrix(C.m)
-    return _max_abs_entry(D.matrix @ m + m @ D.matrix.conj())
+    """Max-entry residual of {D, C} for antilinear C = (m, conj), m acting
+    site by site; d_mu is real, so conj(D) has the conjugate blocks."""
+    return _max_entry(D.spec, D.blocks @ C.m + C.m @ D.blocks.conj())
 
 
 SORT_TOL = 1e-9  # relative to the largest |eigenvalue|
-SHIFT_TOL = 1e-12  # relative to the largest |entry|
 
 
 def sort_spectrum(vals: np.ndarray) -> np.ndarray:
@@ -223,34 +241,21 @@ def sort_spectrum(vals: np.ndarray) -> np.ndarray:
 
 
 def momentum_blocks(D: FieldOperator) -> np.ndarray:
-    """The (N^n, d, d) stack of plane-wave blocks of a translation-invariant D.
+    """The (N^n, d, d) stack of plane-wave blocks M(k) of D.
 
-    Indices run (spinor s, site x), sites in row-major order over the lattice
-    axes. D commutes with the unit shift along every axis exactly when
-    D[(s, x), (t, y)] = S[s, x - y, t]; then D maps u exp(i k.x) to
-    M(k) u exp(i k.x) with M(k)[s, t] = sum_z S[s, z, t] exp(-i k.z), one FFT
-    of the d columns of site 0 over the site axes. Raises ValueError when D
-    does not commute with the shifts.
+    d_mu maps exp(i k.x) to i sin(k_mu)/h exp(i k.x) for k_mu = 2 pi m_mu / N,
+    so M(k) = blocks[0] + i sum_mu sin(k_mu)/h blocks[mu+1].
     """
     spec = D.spec
-    N, n, d = spec.sites_per_dim, spec.sig.n, spec.spinor_dim
-    M = D.matrix.tocsr()
-    idx = np.arange(spec.total_dim).reshape((d,) + (N,) * n)
-    tol = SHIFT_TOL * _max_abs_entry(M)
-    for axis in range(1, n + 1):
-        perm = np.roll(idx, 1, axis=axis).ravel()
-        if _max_abs_entry(M[perm][:, perm] - M) > tol:
-            raise ValueError(f"operator is not translation invariant along lattice axis {axis}")
-    S = M[:, np.arange(d) * spec.n_sites].toarray().reshape((d,) + (N,) * n + (d,))
-    blocks = np.fft.fftn(S, axes=tuple(range(1, n + 1)))
-    return np.moveaxis(blocks, 0, -2).reshape(-1, d, d)
+    N, n = spec.sites_per_dim, spec.sig.n
+    sines = np.sin(2.0 * np.pi * np.arange(N) / N) / spec.spacing
+    modes = np.stack(np.meshgrid(*[sines] * n, indexing="ij"), axis=-1).reshape(-1, n)
+    return D.blocks[0] + 1j * np.tensordot(modes, D.blocks[1:], axes=1)
 
 
-def spectrum(D: FieldOperator, k: int | None = None) -> np.ndarray:
-    """The k eigenvalues of largest magnitude (default 16), in the order of
-    `sort_spectrum`, from the momentum blocks of a translation-invariant D."""
-    if k is None:
-        k = min(D.matrix.shape[0], 16)
+def spectrum(D: FieldOperator, k: int) -> np.ndarray:
+    """The k eigenvalues of largest magnitude, in the order of
+    `sort_spectrum`, from the plane-wave blocks of D."""
     return sort_spectrum(np.linalg.eigvals(momentum_blocks(D)).ravel())[:k]
 
 
@@ -269,7 +274,7 @@ def export_coo_json(D: FieldOperator) -> dict:
     coo = D.matrix.tocoo()
     idx = np.lexsort((coo.col, coo.row))
     return {
-        "shape": list(D.matrix.shape),
+        "shape": list(coo.shape),
         "sig": [D.spec.sig.p, D.spec.sig.q],
         "sites_per_dim": D.spec.sites_per_dim,
         "spacing": D.spec.spacing,
@@ -286,5 +291,5 @@ def flat_dirac_package(sig: Signature, sites: int, spacing: float = 1.0):
     g = build_gammas(sig)
     beta = build_krein_form(g)
     D = build_flat_dirac(spec, g)
-    beta_field = FieldOperator(_site_block(spec, beta.beta), spec)
+    beta_field = _site_operator(spec, beta.beta)
     return spec, g, beta, D, beta_field

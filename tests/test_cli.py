@@ -112,12 +112,25 @@ def test_garling_at_table_cap(capsys):
     assert doc["inertia"] == [512, 512, 0] and doc["classification"] == "neutral"
 
 
-def test_cli_import_loads_no_scipy():
+def _scipy_modules_after(code, *argv):
+    """scipy modules loaded once `code` has run in a fresh interpreter; it
+    reports on stderr, since the CLI writes its payload to stdout."""
     src = str(Path(__import__("krein_clifford").__file__).parents[1])
-    code = "import sys, krein_clifford.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code += "; sys.stderr.write(repr(sorted(m for m in sys.modules if m.startswith('scipy'))))"
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert proc.stdout.strip() == "[]"
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stderr.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    assert _scipy_modules_after("import sys, krein_clifford.cli") == "[]"
+
+
+@pytest.mark.parametrize("argv", [("wick", "--p", "2", "--q", "0", "--sites", "5"), ("verify", "--suite", "wick")])
+def test_lattice_verbs_load_no_scipy(argv):
+    code = "import sys; from krein_clifford.cli import main; assert main(sys.argv[1:]) == 0"
+    assert _scipy_modules_after(code, *argv) == "[]"
 
 
 def test_garling_rejects_non_admissible(capsys):
@@ -191,7 +204,7 @@ def test_gammas_payload(capsys):
     assert len(doc["beta"]) == 2 and len(doc["beta"][0][0]) == 2
 
 
-@pytest.mark.parametrize("suite", ["core", "spinor"])
+@pytest.mark.parametrize("suite", ["spinor"])
 def test_verify_suite(capsys, suite):
     code, doc, _ = run_json(capsys, "verify", "--suite", suite)
     assert code == 0

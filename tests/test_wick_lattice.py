@@ -59,7 +59,17 @@ def _assert_same_multiset(got, want):
 def _rotated(sig, spec, g, D):
     """D_sigma for b = e_1 and its per-site symmetry block."""
     B = build_fundamental_symmetry(spec, g, make_sigma_from_vector(Multivector.basis_vector(sig, 1)))
-    return wick_rotate_operator(D, B), B.matrix[:: spec.n_sites, :: spec.n_sites].toarray()
+    return wick_rotate_operator(D, B), B.blocks[0]
+
+
+def _site_operator(spec, m):
+    blocks = np.zeros((spec.sig.n + 1, spec.spinor_dim, spec.spinor_dim), dtype=np.complex128)
+    blocks[0] = m
+    return FieldOperator(spec, blocks)
+
+
+def _max_entry(M):
+    return float(abs(M).max())
 
 
 def test_lattice_spec_validation():
@@ -130,23 +140,21 @@ def test_rotated_gammas_satisfy_target_relations():
 
 def test_wick_rotation_requires_involutive_symmetry():
     spec, g, beta, D, _ = flat_dirac_package(Signature(1, 1), 3)
-    bad = FieldOperator(2.0 * sp.identity(D.matrix.shape[0], dtype=np.complex128), spec)
+    bad = _site_operator(spec, 2.0 * np.eye(spec.spinor_dim))
     with pytest.raises(ValueError):
         wick_rotate_operator(D, bad)
 
 
 def test_inverse_wick_requires_involutive_symmetry():
     spec, g, beta, D, _ = flat_dirac_package(Signature(1, 1), 3)
-    bad = FieldOperator(2.0 * sp.identity(D.matrix.shape[0], dtype=np.complex128), spec)
+    bad = _site_operator(spec, 2.0 * np.eye(spec.spinor_dim))
     with pytest.raises(ValueError, match="not involutive"):
         inverse_wick(D, bad)
 
 
-def test_involutive_symmetry_accepted_in_dia_format():
+def test_identity_symmetry_round_trip():
     spec, g, beta, D, _ = flat_dirac_package(Signature(1, 1), 3)
-    eye = sp.identity(D.matrix.shape[0], dtype=np.complex128)
-    assert eye.format == "dia"
-    B = FieldOperator(eye, spec)
+    B = _site_operator(spec, np.eye(spec.spinor_dim))
     assert operator_max_diff(wick_rotate_operator(D, B), D) == 0
     assert operator_max_diff(inverse_wick(D, B), D) == 0
 
@@ -178,11 +186,32 @@ def test_spectrum_agrees_with_plane_wave_blocks():
         _assert_same_multiset(spectrum(op, k=spec.total_dim), _plane_wave_spectrum(spec, gammas_up))
 
 
-def test_spectrum_refuses_operator_without_translation_invariance():
+def test_field_operator_refuses_blocks_of_wrong_shape():
     spec, g, beta, D, _ = flat_dirac_package(Signature(2, 0), 5)
-    mass = sp.csr_matrix(([0.5], ([0], [0])), shape=D.shape, dtype=np.complex128)
-    with pytest.raises(ValueError, match="not translation invariant"):
-        spectrum(FieldOperator(D.matrix + mass, spec))
+    for blocks in (D.blocks[:2], D.blocks[:, :1, :1], D.matrix.toarray()):
+        with pytest.raises(ValueError, match="expected \\(3, 2, 2\\)"):
+            FieldOperator(spec, blocks)
+
+
+@pytest.mark.parametrize("pq", [(2, 0), (1, 1), (4, 0)])
+@pytest.mark.parametrize("N", [3, 4])
+@pytest.mark.parametrize("spacing", [1.0, 0.5])
+def test_block_residuals_match_assembled_matrices(pq, N, spacing):
+    sig = Signature(*pq)
+    spec, g, beta, D, beta_field = flat_dirac_package(sig, N, spacing)
+    D_sigma, _ = _rotated(sig, spec, g, D)
+    C = build_field_charge_conjugation(spec, g, beta)
+    Cm = sp.kron(C.m, sp.identity(spec.n_sites), format="csr")
+    massive = FieldOperator(spec, D_sigma.blocks + beta_field.blocks)  # a nonzero site block
+    for op, other in ((D, D_sigma), (D_sigma, D), (massive, D)):
+        M = op.matrix
+        H = beta_field.matrix @ M
+        for got, want in (
+            (operator_max_diff(op, other), _max_entry(M - other.matrix)),
+            (krein_selfadjoint_residual(op, beta_field), _max_entry(H - H.conj().T)),
+            (anticommutation_residual(op, C), _max_entry(M @ Cm + Cm @ M.conj())),
+        ):
+            assert abs(got - want) <= 1e-15, (got, want)
 
 
 def test_sort_spectrum_ignores_rounding_noise():
