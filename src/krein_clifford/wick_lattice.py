@@ -97,14 +97,17 @@ class FieldOperator:
         import scipy.sparse as sp
 
         spec = self.spec
-        n_sites = spec.n_sites
-        sites = np.arange(n_sites).reshape((spec.sites_per_dim,) * spec.sig.n)
-        out = sp.kron(self.blocks[0], sp.identity(n_sites), format="csr")
-        for mu, blk in enumerate(self.blocks[1:]):
-            ahead = np.roll(sites, -1, axis=mu).ravel()
-            up = sp.csr_matrix((np.ones(n_sites), (sites.ravel(), ahead)), shape=(n_sites, n_sites))
-            out = out + sp.kron(blk, (up - up.T) / (2.0 * spec.spacing), format="csr")
-        return out
+        n_sites, n = spec.n_sites, spec.sig.n
+        sites = np.arange(n_sites).reshape((spec.sites_per_dim,) * n)
+        # stencil offset 0 carries blocks[0], offset +/-e_mu carries +/-blocks[mu+1] / 2h
+        ahead = [np.roll(sites, -step, axis=mu) for mu in range(n) for step in (1, -1)]
+        coefs = [step * blk / (2.0 * spec.spacing) for blk in self.blocks[1:] for step in (1, -1)]
+        coefs = np.stack([self.blocks[0], *coefs])
+        j, s, t = np.nonzero(coefs)
+        rows = s[:, None] * n_sites + sites.ravel()
+        cols = t[:, None] * n_sites + np.stack([sites, *ahead]).reshape(-1, n_sites)[j]
+        data = np.repeat(coefs[j, s, t], n_sites) + 0.0  # -0.0 -> 0.0 in the exports
+        return sp.csr_matrix((data, (rows.ravel(), cols.ravel())), shape=(spec.total_dim,) * 2)
 
 
 def _site_operator(spec: LatticeSpec, m: np.ndarray) -> FieldOperator:

@@ -3,6 +3,7 @@ round trips, and the export formats."""
 
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,6 +144,10 @@ def test_wick_rotation_requires_involutive_symmetry():
     bad = _site_operator(spec, 2.0 * np.eye(spec.spinor_dim))
     with pytest.raises(ValueError):
         wick_rotate_operator(D, bad)
+    with pytest.raises(ValueError, match="site by site"):
+        wick_rotate_operator(D, D)
+    with pytest.raises(ValueError, match="site by site"):
+        krein_selfadjoint_residual(D, D)
 
 
 def test_inverse_wick_requires_involutive_symmetry():
@@ -246,6 +251,15 @@ def test_export_formats():
     assert doc["sig"] == [1, 1]
     assert len(doc["entries"]) == coo.nnz
     json.dumps(doc)  # must be serializable
+
+
+def test_export_text_matches_golden():
+    # byte for byte, so a signed zero (-0) in the assembled matrix shows
+    sig = Signature(1, 1)
+    spec, g, beta, D, _ = flat_dirac_package(sig, 3, 0.5)
+    D_sigma, _ = _rotated(sig, spec, g, D)
+    want = (Path(__file__).parent / "golden" / "coo_dsigma_1_1.txt").read_text()
+    assert export_coo_text(D_sigma) == want
 
 
 def test_zero_mode_block_vanishes():
