@@ -2,11 +2,13 @@
 JSON byte for byte except the charge conjugation matrix, which is pinned
 entrywise within 1e-12 (its phase normalization rounds in the last bit).
 
-`garling`, `csnorm`, `ideal`, `wick` and `verify --suite ideals|core` are
-pinned as parsed payloads: ints, bools and the text of strings exactly,
-floats within 1e-12, including the numbers written inside strings
-(multivector coefficients, `verify` details), since a reordered sum moves
-the last bits."""
+`garling`, `csnorm`, `ideal`, `wick`, `cone` and
+`verify --suite ideals|core|spinor|cone` are pinned as parsed payloads:
+ints, bools and the text of strings exactly, floats within 1e-12,
+including the numbers written inside strings (multivector coefficients,
+`verify` details), since a reordered sum moves the last bits.  The
+`gammas --format text` rendering at (1,3) is pinned by the same rule,
+applied to the text."""
 
 import json
 import re
@@ -46,6 +48,9 @@ def _assert_matches(got, want, path="$"):
         assert type(got) is type(want) and got == want, (path, got, want)
 
 
+GOLDEN_VERBS = ("garling", "csnorm", "ideal", "wick", "verify", "cone", "verify_spinor_cone")
+
+
 def _golden_cases(verb):
     return [pytest.param(rec, id=" ".join(rec["argv"][1:]))
             for rec in json.loads((GOLDEN / f"{verb}.json").read_text())]
@@ -75,7 +80,7 @@ def test_gammas_golden(capsys, p, q):
 
 
 @pytest.mark.parametrize(
-    "rec", [c for verb in ("garling", "csnorm", "ideal", "wick", "verify") for c in _golden_cases(verb)]
+    "rec", [c for verb in GOLDEN_VERBS for c in _golden_cases(verb)]
 )
 def test_algebra_golden(capsys, monkeypatch, rec):
     monkeypatch.setenv("KREIN_CLIFFORD_SEED", "0")
@@ -86,6 +91,11 @@ def test_algebra_golden(capsys, monkeypatch, rec):
             assert text == ""
         else:
             _assert_matches(json.loads(text), want)
+
+
+def test_gammas_text_golden(capsys):
+    assert main(["--format", "text", "gammas", "--p", "1", "--q", "3"]) == 0
+    _assert_matches(capsys.readouterr().out, (GOLDEN / "gammas_1_3.txt").read_text())
 
 
 def test_golden_matcher_is_strict():
