@@ -1,7 +1,7 @@
 """Command-line interface.
 
 All verbs emit a JSON payload (the contract) or an aligned text rendering
-derived from it.  The process exit code is 0 exactly when the status is
+derived from it; the text is built only when it is asked for.  The process exit code is 0 exactly when the status is
 ok.  Randomized suites read their seed from KREIN_CLIFFORD_SEED
 (default 0).
 """
@@ -30,7 +30,7 @@ from .clifford_core import (
     make_real_structure,
     make_sigma_from_vector,
 )
-from .formats import matrix_to_json, multivector_from_text, multivector_to_text
+from .formats import multivector_from_text, multivector_to_text, payload_to_json
 
 
 def _seed() -> int:
@@ -47,26 +47,30 @@ def _parse_structure(sig: Signature, spec: str) -> AdmissibleRealStructure:
     return make_real_structure(multivector_from_text(sig, spec))
 
 
-def _emit(payload: dict, fmt: str, text_lines: list[str]) -> int:
-    if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        print("\n".join(text_lines))
+def _emit(payload: dict, fmt: str, render) -> int:
+    """Print the payload as JSON, or the lines `render()` returns as text."""
+    print(payload_to_json(payload) if fmt == "json" else "\n".join(render()))
     return 0 if payload.get("status", "ok") == "ok" else 1
 
 
 def cmd_ko_table(args) -> int:
-    n_list = [int(x) for x in args.n.split(",")]
     rows = []
-    for n in n_list:
+    for item in args.n.split(","):
+        try:
+            n = int(item)
+        except ValueError:
+            raise ValueError(f"--n: {item!r} is not an integer (in {args.n!r})") from None
         sig = sr.case_signature(args.case, n)
         rows.append({"n": n, **sr.ko_signs(sig, args.case).as_dict()})
     payload = {"status": "ok", "case": args.case, "rows": rows}
-    cols = ["n", "ko_dim_mod8", "eps", "eps_dprime", "eps_tilde", "kappa", "kappa_tilde"]
-    lines = ["  ".join(f"{c:>11}" for c in cols)]
-    for r in rows:
-        lines.append("  ".join(f"{r[c]:>11}" for c in cols))
-    return _emit(payload, args.format, lines)
+
+    def render():
+        cols = ["n", "ko_dim_mod8", "eps", "eps_dprime", "eps_tilde", "kappa", "kappa_tilde"]
+        return ["  ".join(f"{c:>11}" for c in cols)] + [
+            "  ".join(f"{r[c]:>11}" for c in cols) for r in rows
+        ]
+
+    return _emit(payload, args.format, render)
 
 
 def cmd_cone(args) -> int:
@@ -78,13 +82,12 @@ def cmd_cone(args) -> int:
     beta = sr.build_krein_form(g)
     verdict = sd.cone_test(sig, g, beta, v)
     payload = {"status": "ok", "sig": [sig.p, sig.q], "v": v, **verdict.as_dict()}
-    lines = [
+    return _emit(payload, args.format, lambda: [
         f"signature ({sig.p},{sig.q})  v = {args.v}",
         f"in_cone   : {verdict.in_cone}",
         f"component : {verdict.component}",
         f"inertia   : {payload['inertia']}",
-    ]
-    return _emit(payload, args.format, lines)
+    ])
 
 
 def cmd_garling(args) -> int:
@@ -99,12 +102,11 @@ def cmd_garling(args) -> int:
         "inertia": [rep.n_plus, rep.n_minus, rep.n_zero],
         "classification": rep.classification,
     }
-    lines = [
+    return _emit(payload, args.format, lambda: [
         f"signature ({sig.p},{sig.q})  b = {payload['b']}",
         f"euclidean      : {payload['euclidean']}",
         f"classification : {rep.classification}  (n+,n-,n0) = {tuple(payload['inertia'])}",
-    ]
-    return _emit(payload, args.format, lines)
+    ])
 
 
 def cmd_wick(args) -> int:
@@ -143,10 +145,11 @@ def cmd_wick(args) -> int:
         "spectrum_before": [[z.real, z.imag] for z in spec_before],
         "spectrum_after": [[z.real, z.imag] for z in spec_after],
     }
-    lines = [f"({sig.p},{sig.q}) N={args.sites} -> ({target.p},{target.q})"]
-    lines += [f"{k:<15}: {v:.3e}" for k, v in residuals.items()]
-    lines.append(f"status: {payload['status']}")
-    return _emit(payload, args.format, lines)
+    return _emit(payload, args.format, lambda: [
+        f"({sig.p},{sig.q}) N={args.sites} -> ({target.p},{target.q})",
+        *(f"{k:<15}: {v:.3e}" for k, v in residuals.items()),
+        f"status: {payload['status']}",
+    ])
 
 
 def cmd_csnorm(args) -> int:
@@ -166,13 +169,12 @@ def cmd_csnorm(args) -> int:
         "rho_norm": rho_norm,
         "cstar_identity_residual": resid,
     }
-    lines = [
+    return _emit(payload, args.format, lambda: [
         f"||a||_inf,sigma     = {norm:.12g}",
         f"||rho(a)||          = {rho_norm:.12g}",
         f"C*-identity residual = {resid:.3e}",
         f"status: {payload['status']}",
-    ]
-    return _emit(payload, args.format, lines)
+    ])
 
 
 def cmd_ideal(args) -> int:
@@ -191,10 +193,6 @@ def cmd_ideal(args) -> int:
         "classification": rep.classification,
         "isotropic": asp.is_isotropic_ideal(ideal, sigma),
     }
-    lines = [
-        f"e = {payload['e']}",
-        f"Gram classification: {rep.classification}  (n+,n-,n0) = {tuple(payload['gram_inertia'])}",
-    ]
     if not payload["isotropic"]:
         f = asp.canonical_selfadjoint_idempotent(ideal, sigma)
         residuals = {
@@ -209,10 +207,18 @@ def cmd_ideal(args) -> int:
             tau_f=[tau_f.real, tau_f.imag],
             residuals=residuals,
         )
-        lines.append(f"f = {payload['f']}")
-        lines.append(f"tau_n(f) = {tau_f.real:.12g}")
-    lines.append(f"status: {payload['status']}")
-    return _emit(payload, args.format, lines)
+
+    def render():
+        lines = [
+            f"e = {payload['e']}",
+            f"Gram classification: {rep.classification}  (n+,n-,n0) = {tuple(payload['gram_inertia'])}",
+        ]
+        if not payload["isotropic"]:
+            lines.append(f"f = {payload['f']}")
+            lines.append(f"tau_n(f) = {payload['tau_f'][0]:.12g}")
+        return lines + [f"status: {payload['status']}"]
+
+    return _emit(payload, args.format, render)
 
 
 def cmd_gammas(args) -> int:
@@ -225,18 +231,22 @@ def cmd_gammas(args) -> int:
         "status": "ok",
         "sig": [sig.p, sig.q],
         "dim": g.dim,
-        "gammas": [matrix_to_json(m) for m in g.gammas],
-        "beta": matrix_to_json(beta.beta),
-        "chirality": matrix_to_json(chi),
-        "charge_conjugation": matrix_to_json(C.m),
+        "gammas": list(g.gammas),
+        "beta": beta.beta,
+        "chirality": chi,
+        "charge_conjugation": C.m,
         "eps_tilde": eps_tilde,
         "kappa_tilde": kappa_tilde,
     }
-    lines = [f"({sig.p},{sig.q}): {sig.n} gammas of dimension {g.dim}"]
-    for i, m in enumerate(g.gammas, 1):
-        lines.append(f"gamma_{i} =")
-        lines += ["  " + "  ".join(f"{z:+.3f}" for z in row) for row in m]
-    return _emit(payload, args.format, lines)
+
+    def render():
+        lines = [f"({sig.p},{sig.q}): {sig.n} gammas of dimension {g.dim}"]
+        for i, m in enumerate(g.gammas, 1):
+            lines.append(f"gamma_{i} =")
+            lines += ["  " + "  ".join(f"{z:+.3f}" for z in row) for row in m]
+        return lines
+
+    return _emit(payload, args.format, render)
 
 
 def cmd_verify(args) -> int:
@@ -248,9 +258,10 @@ def cmd_verify(args) -> int:
         "seed": _seed(),
         "results": [{"name": n, "ok": o, "detail": d} for n, o, d in results],
     }
-    lines = [f"{'PASS' if o else 'FAIL'}  {n:<40} {d}" for n, o, d in results]
-    lines.append(f"status: {payload['status']}")
-    return _emit(payload, args.format, lines)
+    return _emit(payload, args.format, lambda: [
+        *(f"{'PASS' if o else 'FAIL'}  {n:<40} {d}" for n, o, d in results),
+        f"status: {payload['status']}",
+    ])
 
 
 def _add_sig_args(p):

@@ -2,11 +2,15 @@
 
 Text form: terms `coeff*e_<indices>` joined by ` + `, e.g.
 ``1.0*e_1 + 2.0i*e_23``; a scalar term is a bare number.  Imaginary
-units are written `i` (accepted on input as `i` or `j`).
+units are written `i` (accepted on input as `i` or `j`).  Non-finite
+coefficients are refused.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
+import json
 import re
 
 import numpy as np
@@ -49,15 +53,18 @@ _TERM_RE = re.compile(
 
 
 def _parse_coeff(text: str) -> complex:
-    text = text.strip().replace(" ", "")
+    raw = text = text.strip().replace(" ", "")
     if text in ("", "+"):
         return 1.0
     if text == "-":
         return -1.0
-    text = text.replace("i", "j").replace("J", "j")
+    text = re.sub(r"[iJ](?![a-zA-Z])", "j", text)  # the unit, not the i of inf
     if text.startswith("(") and text.endswith(")"):
         text = text[1:-1]
-    return complex(text)
+    z = complex(text)
+    if not cmath.isfinite(z):
+        raise ValueError(f"non-finite coefficient {raw!r}")
+    return z
 
 
 def multivector_from_text(sig: Signature, text: str) -> Multivector:
@@ -136,3 +143,53 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 def matrix_from_json(rows: list) -> np.ndarray:
     return np.array([[complex(re_, im_) for re_, im_ in row] for row in rows])
+
+
+def payload_to_json(payload) -> str:
+    """Exactly ``json.dumps(payload, sort_keys=True, indent=2)``, where a
+    complex ndarray stands for its `matrix_to_json` lists.
+
+    With ``indent``, ``json`` encodes in pure Python, float by float.  A
+    finite matrix is instead written by one ``%`` format of a template
+    cached per shape and depth: ``%r`` of a float is ``float.__repr__``,
+    which is what ``json`` writes, ``-0.0`` included.  A payload holding
+    no ndarray goes through a single ``json.dumps``.
+    """
+    return _encode(payload, 0)
+
+
+def _holds_array(obj) -> bool:
+    if isinstance(obj, np.ndarray):
+        return True
+    if isinstance(obj, dict):
+        return any(map(_holds_array, obj.values()))
+    return isinstance(obj, (list, tuple)) and any(map(_holds_array, obj))
+
+
+def _encode(obj, level: int) -> str:
+    """JSON text of `obj` whose first line sits at indent `level`."""
+    if isinstance(obj, np.ndarray):
+        m = np.asarray(obj, dtype=np.complex128)
+        if m.ndim == 2 and m.size and np.isfinite(m).all():
+            flat = np.stack((m.real, m.imag), -1).ravel().tolist()
+            return _matrix_template(*m.shape, level) % tuple(flat)
+        obj = matrix_to_json(m)
+    elif _holds_array(obj):
+        inner = "\n" + "  " * (level + 1)
+        if isinstance(obj, dict):
+            items = [f"{json.dumps(k)}: {_encode(obj[k], level + 1)}" for k in sorted(obj)]
+            brackets = "{}"
+        else:
+            items = [_encode(x, level + 1) for x in obj]
+            brackets = "[]"
+        return f"{brackets[0]}{inner}{f',{inner}'.join(items)}\n{'  ' * level}{brackets[1]}"
+    text = json.dumps(obj, sort_keys=True, indent=2)
+    return text.replace("\n", "\n" + "  " * level) if level else text
+
+
+@functools.lru_cache(maxsize=32)
+def _matrix_template(rows: int, cols: int, level: int) -> str:
+    """`%r` format string of a rows x cols `matrix_to_json` list at indent `level`."""
+    i1, i2, i3 = ("\n" + "  " * (level + k) for k in (1, 2, 3))
+    row = f"[{i2}" + f",{i2}".join([f"[{i3}%r,{i3}%r{i2}]"] * cols) + f"{i1}]"
+    return f"[{i1}" + f",{i1}".join([row] * rows) + "\n" + "  " * level + "]"

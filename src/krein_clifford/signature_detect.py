@@ -2,14 +2,17 @@
 
 Light-cone membership of a vector is decided by the definiteness of the
 hermitian form beta * rho(v)^{-1} (or its volume-element variant in the
-Lorentzian case), and compared against the direct sign of Q(v).  Also
-here: Krein-positivity of operators, half-spinor neutrality for spacelike
+Lorentzian case), and compared against the direct sign of Q(v).  Both
+read v scaled by 1/max|v_i|, so the verdict is the same for every positive
+multiple of v; non-finite components are refused.  Also here:
+Krein-positivity of operators, half-spinor neutrality for spacelike
 vectors, and the extraction of the dominant timelike vector from a
 Krein-positive odd element.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +25,6 @@ from .clifford_core import (
     Signature,
     hermitian_inertia,
     quadratic_form,
-    volume_element,
 )
 from .spinor_rep import GammaSet, KreinForm, represent
 
@@ -76,12 +78,9 @@ def _case_of(sig: Signature) -> str:
 def cone_membership_oracle(sig: Signature, v) -> str:
     """Direct sign test on Q(v): the open cone is Q>0 (anti-Lorentz) / Q<0 (Lorentz)."""
     case = _case_of(sig)
-    v = _as_vector(sig, v)
-    coords = np.array([v[1 << (i - 1)].real for i in range(1, sig.n + 1)])
-    norm2 = float(coords @ coords)
-    if norm2 == 0.0:
-        raise ValueError("zero vector")
-    qv = quadratic_form(v).real
+    x = _unit_coords(sig, v)
+    norm2 = float(x @ x)
+    qv = quadratic_form(Multivector.from_vector(sig, x)).real
     if case == "lorentz":
         qv = -qv
     if abs(qv) <= NEAR_NULL_REL_TOL * norm2:
@@ -97,17 +96,41 @@ def _as_vector(sig: Signature, v) -> Multivector:
     return Multivector.from_vector(sig, v)
 
 
-def _cone_form(sig: Signature, g: GammaSet, beta: KreinForm, v: Multivector) -> np.ndarray:
-    """The hermitian matrix whose definiteness decides cone membership."""
-    case = _case_of(sig)
-    if case == "antilorentz":
-        # rho(v)^{-1} = rho(v)/Q(v)
-        qv = quadratic_form(v).real
-        A = represent(g, v) / qv
-        return beta.beta @ A
-    w = volume_element(sig) * v
-    w2 = (w * w).scalar_value().real  # (omega v)^2 = -omega^2 v^2
-    A = represent(g, w) / w2
+def _unit_coords(sig: Signature, v) -> np.ndarray:
+    """Real coordinates of v divided by max|v_i|."""
+    if isinstance(v, Multivector):
+        if v.sig != sig:
+            raise ValueError(f"signature mismatch: {v.sig} vs {sig}")
+        v = _as_vector(sig, v)
+        x = np.array([v[1 << i].real for i in range(sig.n)])
+    else:
+        x = np.array(v, dtype=float)
+        if x.shape != (sig.n,):
+            raise ValueError(f"expected {sig.n} components")
+    if not np.isfinite(x).all():
+        raise ValueError(f"non-finite vector component {float(x[~np.isfinite(x)][0])}")
+    top = np.abs(x).max()
+    if top == 0.0:
+        raise ValueError("zero vector")
+    return x / top
+
+
+def _quadratic_form(sig: Signature, x: np.ndarray) -> float:
+    """Q(x) = sum_i eta_i x_i^2."""
+    return float(x[: sig.p] @ x[: sig.p] - x[sig.p:] @ x[sig.p:])
+
+
+def _cone_form(g: GammaSet, beta: KreinForm, x: np.ndarray, qx: float) -> np.ndarray:
+    """The hermitian matrix whose definiteness decides cone membership of
+    the vector with coordinates x and Q(x) = qx, built from the gamma stack."""
+    sig = g.sig
+    rho = np.tensordot(x, g.gammas, 1)
+    if _case_of(sig) == "antilorentz":
+        return beta.beta @ (rho / qx)  # rho(v)^{-1} = rho(v)/Q(v)
+    # rho(omega v) = rho(omega) rho(v) and (omega v)^2 = -omega^2 Q(v),
+    # with omega^2 = (-1)^(n(n-1)/2 + q)
+    omega2 = (-1) ** (sig.n * (sig.n - 1) // 2 + sig.q)
+    A = functools.reduce(np.matmul, g.gammas) @ rho / (-omega2 * qx)
     if sig.n % 8 in (0, 4):
         A = -1j * A  # (i rho(omega v))^{-1}
     return beta.beta @ A
@@ -119,18 +142,14 @@ def cone_test(sig: Signature, g: GammaSet, beta: KreinForm, v) -> ConeVerdict:
     The future component is calibrated so that the canonical timelike basis
     vector (e_1 anti-Lorentz, e_n Lorentz) is future-directed.
     """
-    case = _case_of(sig)
-    v = _as_vector(sig, v)
-    coords = np.array([v[1 << (i - 1)].real for i in range(1, sig.n + 1)])
-    norm2 = float(coords @ coords)
-    if norm2 == 0.0:
-        raise ValueError("zero vector")
-    qv = quadratic_form(v).real
-    if abs(qv) <= NEAR_NULL_REL_TOL * norm2:
+    _case_of(sig)  # refuses a signature that is neither Lorentz nor anti-Lorentz
+    x = _unit_coords(sig, v)
+    qx = _quadratic_form(sig, x)
+    if abs(qx) <= NEAR_NULL_REL_TOL * float(x @ x):
         # open-cone semantics: (near-)null vectors are never inside
         zero = FormSignatureReport(0, 0, g.dim, "degenerate")
         return ConeVerdict(False, "none", zero, near_null=True)
-    report = classify_hermitian(_cone_form(sig, g, beta, v))
+    report = classify_hermitian(_cone_form(g, beta, x, qx))
     if not report.is_definite:
         return ConeVerdict(False, "none", report)
     s = _future_sign(sig, g, beta)
@@ -146,8 +165,9 @@ def _future_sign(sig: Signature, g: GammaSet, beta: KreinForm) -> int:
     valid a Krein form as beta.
     """
     i0 = 1 if _case_of(sig) == "antilorentz" else sig.n
-    v0 = Multivector.basis_vector(sig, i0)
-    rep = classify_hermitian(_cone_form(sig, g, beta, v0))
+    e0 = np.zeros(sig.n)
+    e0[i0 - 1] = 1.0
+    rep = classify_hermitian(_cone_form(g, beta, e0, sig.eta(i0)))
     if not rep.is_definite:
         raise SignatureClassError("canonical timelike vector gives a non-definite form")
     return 1 if rep.classification == "positive_definite" else -1

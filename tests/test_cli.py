@@ -78,6 +78,25 @@ def test_cone_bad_vector_is_exit_2(capsys):
     assert code == 2 and out == "" and err
 
 
+@pytest.mark.parametrize("scale", ["1e-200", "1e-160", "1e200"])
+def test_cone_verdict_at_extreme_scales(capsys, scale):
+    code, doc, _ = run_json(capsys, "cone", "--p", "1", "--q", "3", "--v", f"{scale},0,0,0")
+    assert code == 0 and doc["in_cone"] and doc["component"] == "future" and not doc["near_null"]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_input_is_exit_2(capsys, bad):
+    code, out, err = run_cli(capsys, "cone", "--p", "1", "--q", "3", f"--v={bad},0,0,0")
+    assert code == 2 and out == "" and f"non-finite vector component {bad}" in err
+    code, out, err = run_cli(capsys, "csnorm", "--p", "2", "--q", "0", f"--a={bad}*e_1 + 1.0*e_2")
+    assert code == 2 and out == "" and f"non-finite coefficient '{bad}'" in err
+
+
+def test_ko_table_names_a_bad_n_item(capsys):
+    code, out, err = run_cli(capsys, "ko-table", "--case", "lorentz", "--n", "2,,4")
+    assert code == 2 and out == "" and err.strip() == "error: --n: '' is not an integer (in '2,,4')"
+
+
 def test_garling_examples(capsys):
     code, doc, _ = run_json(capsys, "garling", "--p", "2", "--q", "0", "--b", "c")
     assert code == 0 and doc["classification"] == "positive_definite" and doc["euclidean"]

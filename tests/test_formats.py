@@ -1,5 +1,7 @@
 """Serialization round trips for multivectors and matrices."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from krein_clifford.formats import (
     multivector_from_text,
     multivector_to_json,
     multivector_to_text,
+    payload_to_json,
 )
 
 
@@ -89,3 +92,40 @@ def test_matrix_round_trip(rng):
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     back = matrix_from_json(matrix_to_json(m))
     assert np.abs(back - m).max() < 1e-15
+
+
+def _dumps(payload):
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
+def test_payload_to_json_writes_what_json_dumps_writes(rng):
+    m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    m[0, 0], m[1, 2] = -0.0, complex(-0.0, -0.0)
+    real = rng.normal(size=(2, 2))
+    payload = {"status": "ok", "gammas": [m, m.T], "beta": m, "real": real,
+               "nested": {"deep": [m[:1], {"z": "q"}], "list": [1, 2.5, None, True]},
+               "empty": [], "none": {}}
+    want = {**payload, "gammas": [matrix_to_json(m), matrix_to_json(m.T)], "beta": matrix_to_json(m),
+            "real": matrix_to_json(real),
+            "nested": {"deep": [matrix_to_json(m[:1]), {"z": "q"}], "list": [1, 2.5, None, True]}}
+    text = payload_to_json(payload)
+    assert text == _dumps(want)
+    assert '"-0.0"' not in text and text.count("-0.0") >= 3
+
+
+def test_payload_to_json_non_finite_matrix():
+    m = np.array([[np.nan, complex(np.inf, -np.inf)], [1.0, complex(0.0, np.nan)]])
+    text = payload_to_json({"m": m, "gammas": [m]})
+    assert text == _dumps({"m": matrix_to_json(m), "gammas": [matrix_to_json(m)]})
+    assert "NaN" in text and "-Infinity" in text and "Infinity," in text
+
+
+def test_payload_to_json_without_arrays_is_json_dumps():
+    payload = {"status": "ok", "spectrum_before": [[0.5, -0.0], [1e-300, 2.0]], "rows": [{"n": 2}]}
+    assert payload_to_json(payload) == _dumps(payload)
+
+
+@pytest.mark.parametrize("text", ["nan*e_1", "inf", "-inf*e_12", "(1+nanj)*e_2", "1.0*e_1 + infi*e_2"])
+def test_text_parser_refuses_non_finite_coefficients(text):
+    with pytest.raises(ValueError, match="non-finite"):
+        multivector_from_text(Signature(2, 0), text)

@@ -8,9 +8,14 @@ ints, bools and the text of strings exactly, floats within 1e-12,
 including the numbers written inside strings (multivector coefficients,
 `verify` details), since a reordered sum moves the last bits.  The
 `gammas --format text` rendering at (1,3) is pinned by the same rule,
-applied to the text."""
+applied to the text.
+
+Every JSON stdout must also be exactly what ``json.dumps(...,
+sort_keys=True, indent=2)`` writes for the parsed document: the CLI writes
+matrices through its own encoder, and its bytes must not drift."""
 
 import json
+import os
 import re
 from pathlib import Path
 
@@ -62,6 +67,13 @@ def _stdout(capsys, *argv):
     return capsys.readouterr().out
 
 
+def _assert_json_dumps_bytes(out):
+    want = json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+    same = out == want  # a bare `out == want` makes pytest diff 100 kB strings
+    at = len(os.path.commonprefix([out, want]))
+    assert same, f"differs from json.dumps at byte {at}: {out[at - 30:at + 30]!r} vs {want[at - 30:at + 30]!r}"
+
+
 @pytest.mark.parametrize("case", ["euclidean", "antilorentz", "lorentz"])
 def test_ko_table_golden(capsys, case):
     out = _stdout(capsys, "ko-table", "--case", case, "--n", "2,4,6,8")
@@ -70,7 +82,9 @@ def test_ko_table_golden(capsys, case):
 
 @pytest.mark.parametrize("p,q", [(1, 1), (1, 3), (3, 1)])
 def test_gammas_golden(capsys, p, q):
-    doc = json.loads(_stdout(capsys, "gammas", "--p", str(p), "--q", str(q)))
+    out = _stdout(capsys, "gammas", "--p", str(p), "--q", str(q))
+    _assert_json_dumps_bytes(out)
+    doc = json.loads(out)
     want = json.loads((GOLDEN / f"gammas_{p}_{q}.json").read_text())
     got_c = np.array(doc.pop("charge_conjugation"))
     want_c = np.array(want.pop("charge_conjugation"))
@@ -86,11 +100,18 @@ def test_algebra_golden(capsys, monkeypatch, rec):
     monkeypatch.setenv("KREIN_CLIFFORD_SEED", "0")
     assert main(["--format", "json", *rec["argv"]]) == rec["rc"]
     out, err = capsys.readouterr()
+    if out:
+        _assert_json_dumps_bytes(out)
     for text, want in ((out, rec["stdout"]), (err, rec["stderr"])):
         if want is None:
             assert text == ""
         else:
             _assert_matches(json.loads(text), want)
+
+
+@pytest.mark.parametrize("p,q", [(p, n - p) for n in (2, 4, 6, 8) for p in range(n + 1)])
+def test_gammas_writes_json_dumps_bytes(capsys, p, q):
+    _assert_json_dumps_bytes(_stdout(capsys, "gammas", "--p", str(p), "--q", str(q)))
 
 
 def test_gammas_text_golden(capsys):

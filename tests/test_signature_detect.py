@@ -4,10 +4,12 @@ direct sign of the quadratic form, plus the Krein-positivity lemmas."""
 import numpy as np
 import pytest
 
-from krein_clifford.clifford_core import Multivector, Signature, quadratic_form
+from krein_clifford.clifford_core import Multivector, Signature, quadratic_form, volume_element
 from krein_clifford.signature_detect import (
+    NEAR_NULL_REL_TOL,
     NonHermitianError,
     SignatureClassError,
+    _cone_form,
     chi_shifted_positivity,
     classify_hermitian,
     cone_membership_oracle,
@@ -88,6 +90,81 @@ def test_near_null_vectors_are_flagged():
     with pytest.raises(ValueError):
         cone_test(sig, g, beta, [0.0, 0.0, 0.0, 0.0])
     assert cone_membership_oracle(sig, [1.0, 1.0, 0.0, 0.0]) == "null"
+
+
+def _cone_form_by_products(sig, g, beta, v):
+    """The cone form through Multivector products and `represent`, as it
+    was defined before the closed form read it off the gamma stack."""
+    if sig.p == 1:  # anti-Lorentz: rho(v)^{-1} = rho(v)/Q(v)
+        return beta.beta @ (represent(g, v) / quadratic_form(v).real)
+    w = volume_element(sig) * v
+    A = represent(g, w) / (w * w).scalar_value().real
+    if sig.n % 8 in (0, 4):
+        A = -1j * A  # (i rho(omega v))^{-1}
+    return beta.beta @ A
+
+
+def _verdict_by_products(sig, g, beta, v):
+    """(in_cone, component, inertia, classification) from the product forms."""
+    i0 = 1 if sig.p == 1 else sig.n
+    ref = classify_hermitian(_cone_form_by_products(sig, g, beta, Multivector.basis_vector(sig, i0)))
+    rep = classify_hermitian(_cone_form_by_products(sig, g, beta, v))
+    component = "none"
+    if rep.is_definite:
+        same = rep.classification == ref.classification
+        component = "future" if same else "past"
+    return rep.is_definite, component, [rep.n_plus, rep.n_minus, rep.n_zero], rep.classification
+
+
+ORACLE_SIGS = [Signature(1, 1), Signature(1, 3), Signature(3, 1), Signature(1, 5),
+               Signature(5, 1), Signature(1, 7), Signature(7, 1)]
+
+
+@pytest.mark.parametrize("sig", ORACLE_SIGS, ids=lambda s: f"{s.p}{s.q}")
+def test_closed_form_cone_form_matches_products(sig):
+    g, beta = _setup(sig)
+    rng = np.random.default_rng(100 * sig.p + sig.q)
+    t = 0 if sig.p == 1 else sig.n - 1
+    kinds = set()
+    for _ in range(50):
+        x = rng.normal(size=sig.n)
+        x[t] *= rng.uniform(0.1, 2.0) * np.sqrt(sig.n)  # timelike and spacelike, both signs of x_t
+        x /= np.abs(x).max()
+        v = Multivector.from_vector(sig, x)
+        qx = quadratic_form(v).real
+        assert abs(qx) > NEAR_NULL_REL_TOL * (x @ x)
+        want = _cone_form_by_products(sig, g, beta, v)
+        got = _cone_form(g, beta, x, qx)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        verdict = cone_test(sig, g, beta, x).as_dict()
+        got_verdict = verdict["in_cone"], verdict["component"], verdict["inertia"], verdict["classification"]
+        assert got_verdict == _verdict_by_products(sig, g, beta, v)
+        assert verdict["in_cone"] == (cone_membership_oracle(sig, x) == "timelike")
+        kinds.add(verdict["component"])
+    assert kinds == {"future", "past", "none"}
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e200])
+@pytest.mark.parametrize("sig", [Signature(1, 3), Signature(3, 1), Signature(7, 1)], ids=lambda s: f"{s.p}{s.q}")
+def test_cone_verdict_is_invariant_under_positive_scaling(sig, scale):
+    g, beta = _setup(sig)
+    rng = np.random.default_rng(5)
+    near_null = np.zeros(sig.n)
+    near_null[0], near_null[-1] = 1.0, 1.0 + 1e-12
+    for v in [*rng.normal(size=(12, sig.n)), near_null]:
+        want = cone_test(sig, g, beta, v).as_dict()
+        assert cone_test(sig, g, beta, scale * v).as_dict() == want
+        assert cone_membership_oracle(sig, scale * v) == cone_membership_oracle(sig, v)
+    assert cone_test(sig, g, beta, scale * near_null).near_null
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cone_refuses_non_finite_components(bad):
+    sig = Signature(1, 3)
+    g, beta = _setup(sig)
+    for check in (lambda v: cone_test(sig, g, beta, v), lambda v: cone_membership_oracle(sig, v)):
+        with pytest.raises(ValueError, match="non-finite"):
+            check([1.0, bad, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("sig", LORENTZ_LIKE, ids=lambda s: f"{s.p}{s.q}")
