@@ -1,9 +1,9 @@
 """Command-line interface.
 
 All verbs emit a JSON payload (the contract) or an aligned text rendering
-derived from it; the text is built only when it is asked for.  The process exit code is 0 exactly when the status is
-ok.  Randomized suites read their seed from KREIN_CLIFFORD_SEED
-(default 0).
+derived from it; the text is built only when it is asked for.  The
+process exit code is 0 exactly when the status is ok.  Randomized suites
+read their seed from KREIN_CLIFFORD_SEED (default 0).
 """
 
 from __future__ import annotations

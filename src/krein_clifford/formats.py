@@ -158,12 +158,15 @@ def payload_to_json(payload) -> str:
     return _encode(payload, 0)
 
 
-def _holds_array(obj) -> bool:
+class _ArrayFound(Exception):
+    """An ndarray met by ``json.dumps``: its container is encoded piece by piece."""
+
+
+def _refuse_array(obj):
+    """``json.dumps`` hook: stop at the first ndarray, refuse what json refuses."""
     if isinstance(obj, np.ndarray):
-        return True
-    if isinstance(obj, dict):
-        return any(map(_holds_array, obj.values()))
-    return isinstance(obj, (list, tuple)) and any(map(_holds_array, obj))
+        raise _ArrayFound
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _encode(obj, level: int) -> str:
@@ -174,7 +177,9 @@ def _encode(obj, level: int) -> str:
             flat = np.stack((m.real, m.imag), -1).ravel().tolist()
             return _matrix_template(*m.shape, level) % tuple(flat)
         obj = matrix_to_json(m)
-    elif _holds_array(obj):
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, default=_refuse_array)
+    except _ArrayFound:
         inner = "\n" + "  " * (level + 1)
         if isinstance(obj, dict):
             items = [f"{json.dumps(k)}: {_encode(obj[k], level + 1)}" for k in sorted(obj)]
@@ -183,7 +188,6 @@ def _encode(obj, level: int) -> str:
             items = [_encode(x, level + 1) for x in obj]
             brackets = "[]"
         return f"{brackets[0]}{inner}{f',{inner}'.join(items)}\n{'  ' * level}{brackets[1]}"
-    text = json.dumps(obj, sort_keys=True, indent=2)
     return text.replace("\n", "\n" + "  " * level) if level else text
 
 

@@ -115,11 +115,6 @@ def _unit_coords(sig: Signature, v) -> np.ndarray:
     return x / top
 
 
-def _quadratic_form(sig: Signature, x: np.ndarray) -> float:
-    """Q(x) = sum_i eta_i x_i^2."""
-    return float(x[: sig.p] @ x[: sig.p] - x[sig.p:] @ x[sig.p:])
-
-
 def _cone_form(g: GammaSet, beta: KreinForm, x: np.ndarray, qx: float) -> np.ndarray:
     """The hermitian matrix whose definiteness decides cone membership of
     the vector with coordinates x and Q(x) = qx, built from the gamma stack."""
@@ -144,7 +139,7 @@ def cone_test(sig: Signature, g: GammaSet, beta: KreinForm, v) -> ConeVerdict:
     """
     _case_of(sig)  # refuses a signature that is neither Lorentz nor anti-Lorentz
     x = _unit_coords(sig, v)
-    qx = _quadratic_form(sig, x)
+    qx = float(x[: sig.p] @ x[: sig.p] - x[sig.p:] @ x[sig.p:])  # Q(x) = sum_i eta_i x_i^2
     if abs(qx) <= NEAR_NULL_REL_TOL * float(x @ x):
         # open-cone semantics: (near-)null vectors are never inside
         zero = FormSignatureReport(0, 0, g.dim, "degenerate")
