@@ -29,7 +29,7 @@ from .clifford_core import (
     left_multiplication_matrix,
     sigma_product_gram,
 )
-from .spinor_rep import build_gammas, build_krein_form, represent, sigma_compatible_product
+from .spinor_rep import build_gammas, positive_sigma_product, represent
 
 SPAN_TOL = 1e-10
 
@@ -192,16 +192,8 @@ def rho_operator_norm(sigma: AdmissibleRealStructure, a: Multivector) -> float:
     """Operator norm of rho(a) w.r.t. the sigma-compatible scalar product."""
     if not is_euclidean(sigma):
         raise ValueError("requires an Euclidean real structure")
-    sig = a.sig
-    g = build_gammas(sig)
-    beta = build_krein_form(g)
-    beta_sigma = sigma_compatible_product(beta, g, sigma)
-    w = np.linalg.eigvalsh(beta_sigma)
-    if w[-1] < 0:
-        beta_sigma = -beta_sigma
-    elif w[0] < 0:
-        raise ValueError("sigma-compatible form is not definite")
-    T = np.linalg.cholesky(0.5 * (beta_sigma + beta_sigma.conj().T)).conj().T
+    g = build_gammas(a.sig)
+    T = np.linalg.cholesky(positive_sigma_product(g, sigma)).conj().T
     W = T @ represent(g, a) @ np.linalg.inv(T)
     return float(np.linalg.norm(W, 2))
 

@@ -23,12 +23,10 @@ from . import verify as vf
 from . import wick_lattice as wl
 from .clifford_core import (
     AdmissibleRealStructure,
-    Multivector,
     Signature,
     gram_signature_sigma_product,
     is_euclidean,
     make_real_structure,
-    make_sigma_from_vector,
 )
 from .formats import multivector_from_text, multivector_to_text, payload_to_json
 
@@ -79,8 +77,7 @@ def cmd_cone(args) -> int:
     if len(v) != sig.n:
         raise ValueError(f"expected {sig.n} components, got {len(v)}")
     g = sr.build_gammas(sig)
-    beta = sr.build_krein_form(g)
-    verdict = sd.cone_test(sig, g, beta, v)
+    verdict = sd.cone_test(sig, g, g.beta, v)
     payload = {"status": "ok", "sig": [sig.p, sig.q], "v": v, **verdict.as_dict()}
     return _emit(payload, args.format, lambda: [
         f"signature ({sig.p},{sig.q})  v = {args.v}",
@@ -111,27 +108,8 @@ def cmd_garling(args) -> int:
 
 def cmd_wick(args) -> int:
     sig = _sig(args)
-    if sig.q != 0:
-        raise ValueError("the wick verb rotates a Euclidean (q=0) lattice operator")
-    spec, g, beta, D, beta_field = wl.flat_dirac_package(sig, args.sites, args.spacing)
-    if args.to == "antilorentz":
-        target = Signature(1, sig.n - 1)
-        b = make_sigma_from_vector(Multivector.basis_vector(sig, 1))
-    else:
-        target = Signature(sig.n - 1, 1)
-        b = make_sigma_from_vector(Multivector.basis_vector(sig, sig.n), graded=True)
-    B = wl.build_fundamental_symmetry(spec, g, b)
-    D_sigma = wl.wick_rotate_operator(D, B)
-    _, g_t, beta_t, D_direct, beta_field_t = wl.flat_dirac_package(sig=target, sites=args.sites, spacing=args.spacing)
-    C_E = wl.build_field_charge_conjugation(spec, g, beta)
-    C_sigma = sr.AntilinearOp(B.blocks[0] @ C_E.m)
-    residuals = {
-        "direct_compare": wl.operator_max_diff(D_sigma, D_direct),
-        "selfadjoint": wl.krein_selfadjoint_residual(D_sigma, beta_field_t),
-        "anticommute": wl.anticommutation_residual(D_sigma, C_sigma),
-        "roundtrip": wl.operator_max_diff(wl.inverse_wick(D_sigma, B), D),
-    }
-    k = min(8, spec.total_dim)
+    target, D, D_sigma, residuals = wl.wick_rotation(sig, args.sites, args.spacing, args.to)
+    k = min(8, D.spec.total_dim)
     spec_before = wl.spectrum(D, k=k)
     spec_after = wl.spectrum(D_sigma, k=k)
     ok = all(r <= 1e-12 for r in residuals.values())
@@ -224,16 +202,14 @@ def cmd_ideal(args) -> int:
 def cmd_gammas(args) -> int:
     sig = _sig(args)
     g = sr.build_gammas(sig)
-    beta = sr.build_krein_form(g)
-    chi = sr.chirality(g)
-    C, eps_tilde, kappa_tilde = sr.build_charge_conjugation(g, beta)
+    C, eps_tilde, kappa_tilde = g.charge_conjugation
     payload = {
         "status": "ok",
         "sig": [sig.p, sig.q],
         "dim": g.dim,
         "gammas": list(g.gammas),
-        "beta": beta.beta,
-        "chirality": chi,
+        "beta": g.beta,
+        "chirality": g.chi,
         "charge_conjugation": C.m,
         "eps_tilde": eps_tilde,
         "kappa_tilde": kappa_tilde,

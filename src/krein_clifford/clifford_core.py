@@ -8,6 +8,7 @@ coefficients are complex doubles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from ._kernels import gp_dense, sign_table
 
-PRUNE_TOL = 0.0  # coefficients equal to exact zero are dropped
+PRUNE_TOL = 0.0  # coefficients equal to exact zero are dropped; NaN and inf are refused
 DEFINITENESS_TOL = 1e-9
 HERMITICITY_TOL = 1e-10
 
@@ -77,7 +78,10 @@ class Multivector:
                 if not 0 <= k < top:
                     raise ValueError(f"blade index {k} out of range for n={sig.n}")
                 z = complex(v)
-                if abs(z) > PRUNE_TOL:
+                size = abs(z)
+                if not size < math.inf:  # NaN compares False too
+                    raise ValueError(f"non-finite coefficient {z} on blade {k}")
+                if size > PRUNE_TOL:
                     cs[int(k)] = z
         self._coeffs = cs
 
@@ -116,7 +120,8 @@ class Multivector:
 
     @classmethod
     def from_dense(cls, sig: Signature, arr: np.ndarray, tol: float = 0.0) -> "Multivector":
-        return cls(sig, {k: z for k, z in enumerate(arr) if abs(z) > tol})
+        # `not <=` keeps NaN entries, so that __init__ refuses them
+        return cls(sig, {k: z for k, z in enumerate(arr) if not abs(z) <= tol})
 
     # -- access -------------------------------------------------------
 

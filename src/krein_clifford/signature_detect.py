@@ -26,7 +26,7 @@ from .clifford_core import (
     hermitian_inertia,
     quadratic_form,
 )
-from .spinor_rep import GammaSet, KreinForm, represent
+from .spinor_rep import GammaSet, represent
 
 NEAR_NULL_REL_TOL = 1e-9
 
@@ -115,23 +115,23 @@ def _unit_coords(sig: Signature, v) -> np.ndarray:
     return x / top
 
 
-def _cone_form(g: GammaSet, beta: KreinForm, x: np.ndarray, qx: float) -> np.ndarray:
+def _cone_form(g: GammaSet, beta: np.ndarray, x: np.ndarray, qx: float) -> np.ndarray:
     """The hermitian matrix whose definiteness decides cone membership of
     the vector with coordinates x and Q(x) = qx, built from the gamma stack."""
     sig = g.sig
     rho = np.tensordot(x, g.gammas, 1)
     if _case_of(sig) == "antilorentz":
-        return beta.beta @ (rho / qx)  # rho(v)^{-1} = rho(v)/Q(v)
+        return beta @ (rho / qx)  # rho(v)^{-1} = rho(v)/Q(v)
     # rho(omega v) = rho(omega) rho(v) and (omega v)^2 = -omega^2 Q(v),
     # with omega^2 = (-1)^(n(n-1)/2 + q)
     omega2 = (-1) ** (sig.n * (sig.n - 1) // 2 + sig.q)
     A = functools.reduce(np.matmul, g.gammas) @ rho / (-omega2 * qx)
     if sig.n % 8 in (0, 4):
         A = -1j * A  # (i rho(omega v))^{-1}
-    return beta.beta @ A
+    return beta @ A
 
 
-def cone_test(sig: Signature, g: GammaSet, beta: KreinForm, v) -> ConeVerdict:
+def cone_test(sig: Signature, g: GammaSet, beta: np.ndarray, v) -> ConeVerdict:
     """Decide cone membership of v by the definiteness of the spinor form.
 
     The future component is calibrated so that the canonical timelike basis
@@ -153,7 +153,7 @@ def cone_test(sig: Signature, g: GammaSet, beta: KreinForm, v) -> ConeVerdict:
     return ConeVerdict(True, component, report)
 
 
-def _future_sign(sig: Signature, g: GammaSet, beta: KreinForm) -> int:
+def _future_sign(sig: Signature, g: GammaSet, beta: np.ndarray) -> int:
     """+1 if the canonical timelike vector yields a positive definite form.
 
     Recomputed on every call: the sign depends on ``beta``, and -beta is as
@@ -168,14 +168,14 @@ def _future_sign(sig: Signature, g: GammaSet, beta: KreinForm) -> int:
     return 1 if rep.classification == "positive_definite" else -1
 
 
-def krein_positive(beta: KreinForm, A: np.ndarray) -> bool:
+def krein_positive(beta: np.ndarray, A: np.ndarray) -> bool:
     """(psi, A psi) > 0 for all nonzero psi, i.e. beta*A positive definite."""
-    report = classify_hermitian(beta.beta @ A)
+    report = classify_hermitian(beta @ A)
     return report.classification == "positive_definite"
 
 
 def half_spinor_neutrality(
-    beta: KreinForm, chi: np.ndarray, g: GammaSet, w
+    beta: np.ndarray, chi: np.ndarray, g: GammaSet, w
 ) -> dict:
     """For spacelike w, (.,rho(w).) is neutral on each half-spinor module."""
     sig = g.sig
@@ -184,7 +184,7 @@ def half_spinor_neutrality(
     w = _as_vector(sig, w)
     if cone_membership_oracle(sig, w) != "spacelike":
         raise ValueError("w is not spacelike")
-    H = beta.beta @ represent(g, w)
+    H = beta @ represent(g, w)
     # chi is hermitian with chi^2=I: its eigenvectors split the spinor space
     vals, vecs = np.linalg.eigh(0.5 * (chi + chi.conj().T))
     plus = vecs[:, vals > 0]
@@ -202,7 +202,7 @@ def half_spinor_neutrality(
 
 
 def chi_shifted_positivity(
-    beta: KreinForm, chi: np.ndarray, g: GammaSet, u, v
+    beta: np.ndarray, chi: np.ndarray, g: GammaSet, u, v
 ) -> tuple[bool, bool]:
     """rho(u) + chi*rho(v) is Krein-positive iff u+v and u-v are future timelike."""
     sig = g.sig

@@ -5,11 +5,21 @@ the Euclidean generators are hermitian and square to +1, and the last q of
 them are multiplied by i.  On top of that sit the compatible Krein form,
 the charge conjugation operators (ungraded and graded), and the sign
 tables classifying their squares and adjoints.
+
+`build_gammas(sig)` returns a `GammaSet`, which is the one place the
+spinor structures of a signature are built: `g.beta` (the Krein form, a
+hermitian ndarray), `g.chi` (chirality) and `g.charge_conjugation`
+(C, eps_tilde, kappa_tilde) are built on first access, once per
+`GammaSet`, through `build_krein_form`, `chirality` and
+`build_charge_conjugation`.  Nothing is shared between two `build_gammas`
+calls.  `positive_sigma_product(g, b)` is the sigma-compatible product
+oriented to be positive definite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +65,18 @@ class GammaSet:
     @property
     def dim(self) -> int:
         return self.gammas[0].shape[0]
+
+    @cached_property
+    def beta(self) -> np.ndarray:
+        return build_krein_form(self)
+
+    @cached_property
+    def chi(self) -> np.ndarray:
+        return chirality(self)
+
+    @cached_property
+    def charge_conjugation(self) -> tuple[AntilinearOp, int, int]:
+        return build_charge_conjugation(self, self.beta)
 
 
 def build_gammas(sig: Signature) -> GammaSet:
@@ -105,13 +127,6 @@ def commutant_is_scalar(g: GammaSet, tol: float = 1e-10) -> bool:
     return null_dim == 1
 
 
-@dataclass(frozen=True)
-class KreinForm:
-    """Hermitian involutive matrix beta with beta gamma_i beta^-1 = gamma_i^dagger."""
-
-    beta: np.ndarray
-
-
 def _fix_matrix_sign(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Make the largest-magnitude diagonal entry positive; fall back to the
     first entry of largest magnitude when the diagonal vanishes."""
@@ -125,13 +140,14 @@ def _fix_matrix_sign(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return sign * m
 
 
-def build_krein_form(g: GammaSet) -> KreinForm:
-    """Compatible Krein form: product of the hermitian (or antihermitian)
-    generators, hermitian-normalized."""
+def build_krein_form(g: GammaSet) -> np.ndarray:
+    """Compatible Krein form: the hermitian involutive matrix beta with
+    beta gamma_i beta^-1 = gamma_i^dagger, a product of the hermitian (or
+    antihermitian) generators, hermitian-normalized."""
     sig = g.sig
     N = g.dim
 
-    def finalize(cand: np.ndarray) -> KreinForm | None:
+    def finalize(cand: np.ndarray) -> np.ndarray | None:
         if np.abs(cand + cand.conj().T).max() < 1e-10:
             cand = 1j * cand
         if np.abs(cand - cand.conj().T).max() > 1e-10:
@@ -146,7 +162,7 @@ def build_krein_form(g: GammaSet) -> KreinForm:
         for gam in g.gammas:
             if np.abs(cand @ gam.conj().T - gam @ cand).max() > 1e-9:
                 return None
-        return KreinForm(_fix_matrix_sign(cand))
+        return _fix_matrix_sign(cand)
 
     if sig.p % 2 == 1:
         idx = range(sig.p)
@@ -161,9 +177,8 @@ def build_krein_form(g: GammaSet) -> KreinForm:
     return form
 
 
-def krein_adjoint(beta: KreinForm, A: np.ndarray) -> np.ndarray:
-    b = beta.beta
-    return b @ A.conj().T @ b
+def krein_adjoint(beta: np.ndarray, A: np.ndarray) -> np.ndarray:
+    return beta @ A.conj().T @ beta
 
 
 @dataclass(frozen=True)
@@ -204,7 +219,15 @@ def _sign_of(val: complex, what: str, tol: float = 1e-9) -> int:
     return 1 if val.real > 0 else -1
 
 
-def build_charge_conjugation(g: GammaSet, beta: KreinForm) -> tuple[AntilinearOp, int, int]:
+def _antilinear_signs(op: AntilinearOp, beta: np.ndarray, name: str) -> tuple[int, int]:
+    """(eps, kappa) with op^2 = eps and op^x op = kappa for the form beta."""
+    eps = _sign_of(_scalar_of(op.compose_antilinear(op), f"{name}^2"), f"{name}^2")
+    adj = antilinear_adjoint(beta, op)
+    what = f"{name}^x {name}"
+    return eps, _sign_of(_scalar_of(adj.compose_antilinear(op), what), what)
+
+
+def build_charge_conjugation(g: GammaSet, beta: np.ndarray) -> tuple[AntilinearOp, int, int]:
     """Antilinear operator C with C gamma_i C^-1 = gamma_i.
 
     Every ladder generator is real or imaginary, so the matrix of C is the
@@ -233,10 +256,7 @@ def build_charge_conjugation(g: GammaSet, beta: KreinForm) -> tuple[AntilinearOp
     lead = flat[np.flatnonzero(np.abs(flat) > 1e-12 * np.abs(flat).max())[0]]
     m = m * (abs(lead) / lead)
     op = AntilinearOp(m)
-    eps_tilde = _sign_of(_scalar_of(op.compose_antilinear(op), "C^2"), "C^2")
-    adj = antilinear_adjoint(beta.beta, op)
-    kappa_tilde = _sign_of(_scalar_of(adj.compose_antilinear(op), "C^x C"), "C^x C")
-    return op, eps_tilde, kappa_tilde
+    return op, *_antilinear_signs(op, beta, "C")
 
 
 def graded_charge_conjugation(C: AntilinearOp, chi: np.ndarray) -> AntilinearOp:
@@ -296,14 +316,9 @@ def ko_signs(sig: Signature, case: str) -> KOSigns:
     if sig != case_signature(case, sig.n):
         raise ValueError(f"signature {sig} does not match case {case!r}")
     g = build_gammas(sig)
-    beta = build_krein_form(g)
-    chi = chirality(g)
-    C, eps_tilde, kappa_tilde = build_charge_conjugation(g, beta)
-    eps_dprime = commutation_sign(C, chi)
-    J = graded_charge_conjugation(C, chi)
-    eps = _sign_of(_scalar_of(J.compose_antilinear(J), "J^2"), "J^2")
-    J_adj = antilinear_adjoint(beta.beta, J)
-    kappa = _sign_of(_scalar_of(J_adj.compose_antilinear(J), "J^x J"), "J^x J")
+    C, eps_tilde, kappa_tilde = g.charge_conjugation
+    eps_dprime = commutation_sign(C, g.chi)
+    eps, kappa = _antilinear_signs(graded_charge_conjugation(C, g.chi), g.beta, "J")
     if eps_tilde != eps_dprime * eps:
         raise RepresentationError("graded/ungraded square signs are inconsistent")
     expected_kappa = kappa_tilde if case == "euclidean" else -kappa_tilde
@@ -320,16 +335,28 @@ def ko_signs(sig: Signature, case: str) -> KOSigns:
     )
 
 
-def sigma_compatible_product(beta: KreinForm, g: GammaSet, b: AdmissibleRealStructure) -> np.ndarray:
+def sigma_compatible_product(beta: np.ndarray, g: GammaSet, b: AdmissibleRealStructure) -> np.ndarray:
     """Krein form making rho(a^{x_sigma}) the adjoint of rho(a)."""
     B = represent(g, b.b)
     if b.lam_prime == 1:
-        mat = beta.beta @ np.linalg.inv(B)
+        mat = beta @ np.linalg.inv(B)
     else:
-        mat = beta.beta @ np.linalg.inv(1j * B)
+        mat = beta @ np.linalg.inv(1j * B)
     if np.abs(mat - mat.conj().T).max() > 1e-10 * np.abs(mat).max():
         raise RepresentationError("rotated Krein form is not hermitian")
     return 0.5 * (mat + mat.conj().T)
+
+
+def positive_sigma_product(g: GammaSet, b: AdmissibleRealStructure) -> np.ndarray:
+    """The sigma-compatible product of g.beta, signed to be positive
+    definite; refuses a b whose product is indefinite (not Euclidean)."""
+    mat = sigma_compatible_product(g.beta, g, b)
+    w = np.linalg.eigvalsh(mat)
+    if w[-1] < 0:
+        return -mat
+    if w[0] < 0:
+        raise RepresentationError("sigma-compatible form is not definite; b is not Euclidean")
+    return mat
 
 
 def wick_sign_transition(from_case: str, sig: Signature, b: AdmissibleRealStructure) -> dict:
@@ -347,29 +374,15 @@ def wick_sign_transition(from_case: str, sig: Signature, b: AdmissibleRealStruct
         raise ValueError("rotation element has the wrong grade")
 
     g = build_gammas(sig)
-    beta = build_krein_form(g)
-    chi = chirality(g)
-    C, eps_tilde, kappa_tilde = build_charge_conjugation(g, beta)
-    eps_dprime = commutation_sign(C, chi)
+    C, eps_tilde, kappa_tilde = g.charge_conjugation
+    eps_dprime = commutation_sign(C, g.chi)
 
-    B = represent(g, b.b)
-    C_E = AntilinearOp(B @ C.m)
-    chi_E = -chi
-    beta_E = sigma_compatible_product(beta, g, b)
-    # orient the rotated form so it is a scalar product
-    w = np.linalg.eigvalsh(beta_E)
-    if w[0] < 0 and w[-1] < 0:
-        beta_E = -beta_E
-    elif w[0] < 0:
-        raise RepresentationError("rotated form is not definite; b is not a Euclidean rotation")
-
+    C_E = AntilinearOp(represent(g, b.b) @ C.m)
+    eps_E, kappa_E = _antilinear_signs(C_E, positive_sigma_product(g, b), "C_E")
     measured = {
-        "eps_tilde": _sign_of(_scalar_of(C_E.compose_antilinear(C_E), "C_E^2"), "C_E^2"),
-        "kappa_tilde": _sign_of(
-            _scalar_of(antilinear_adjoint(beta_E, C_E).compose_antilinear(C_E), "C_E^x C_E"),
-            "C_E^x C_E",
-        ),
-        "eps_dprime": commutation_sign(C_E, chi_E),
+        "eps_tilde": eps_E,
+        "kappa_tilde": kappa_E,
+        "eps_dprime": commutation_sign(C_E, -g.chi),
     }
     factor = 1 if from_case == "antilorentz" else (-1) ** (sig.n // 2 + 1)
     predicted = {

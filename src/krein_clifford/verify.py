@@ -18,10 +18,7 @@ from .clifford_core import (
     Signature,
     euclidean_structure,
     gram_signature_sigma_product,
-    is_euclidean,
-    make_sigma_from_vector,
     quadratic_form,
-    volume_element,
 )
 
 SUITES = ("core", "spinor", "cone", "wick", "ideals", "all")
@@ -95,7 +92,6 @@ def run_spinor(seed: int) -> list[tuple[str, bool, str]]:
     ok = True
     for sig in _sigs():
         g = sr.build_gammas(sig)
-        beta = sr.build_krein_form(g)
         for _ in range(10):
             a, b = _rand_mv(sig, rng), _rand_mv(sig, rng)
             worst = max(
@@ -105,11 +101,10 @@ def run_spinor(seed: int) -> list[tuple[str, bool, str]]:
             worst = max(
                 worst,
                 np.abs(
-                    sr.represent(g, a.cross()) - sr.krein_adjoint(beta, sr.represent(g, a))
+                    sr.represent(g, a.cross()) - sr.krein_adjoint(g.beta, sr.represent(g, a))
                 ).max(),
             )
-        chi = sr.chirality(g)
-        worst = max(worst, np.abs(chi @ chi - np.eye(g.dim)).max())
+        worst = max(worst, np.abs(g.chi @ g.chi - np.eye(g.dim)).max())
         ok = ok and sr.commutant_is_scalar(g)
     out.append(("representation_homomorphism", worst < 1e-9, f"max residual {worst:.2e}"))
     out.append(("irreducibility", ok, "commutant of the gammas is scalar"))
@@ -128,14 +123,13 @@ def run_cone(seed: int) -> list[tuple[str, bool, str]]:
     out = []
     for sig in (Signature(1, 3), Signature(3, 1)):
         g = sr.build_gammas(sig)
-        beta = sr.build_krein_form(g)
         bad = 0
         for _ in range(200):
             v = rng.normal(size=sig.n)
             qv = quadratic_form(Multivector.from_vector(sig, v)).real
             if abs(qv) < 1e-6:
                 continue
-            verdict = sd.cone_test(sig, g, beta, v)
+            verdict = sd.cone_test(sig, g, g.beta, v)
             oracle = sd.cone_membership_oracle(sig, v)
             if verdict.in_cone != (oracle == "timelike"):
                 bad += 1
@@ -145,37 +139,27 @@ def run_cone(seed: int) -> list[tuple[str, bool, str]]:
     # antipodal swap
     sig = Signature(1, 3)
     g = sr.build_gammas(sig)
-    beta = sr.build_krein_form(g)
     ok = True
     for _ in range(100):
         v = rng.normal(size=sig.n)
-        r = sd.cone_test(sig, g, beta, v)
+        r = sd.cone_test(sig, g, g.beta, v)
         if r.in_cone:
-            r2 = sd.cone_test(sig, g, beta, -v)
+            r2 = sd.cone_test(sig, g, g.beta, -v)
             ok = ok and {r.component, r2.component} == {"future", "past"}
     out.append(("antipodal_swap", ok, "cone components swap under v -> -v"))
     return out
 
 
 def run_wick(seed: int) -> list[tuple[str, bool, str]]:
-    out = []
-    sigE, sigL = Signature(4, 0), Signature(1, 3)
-    specE, gE, betaE, DE, bfE = wl.flat_dirac_package(sigE, 4)
-    b = make_sigma_from_vector(Multivector.basis_vector(sigE, 1))
-    B = wl.build_fundamental_symmetry(specE, gE, b)
-    Ds = wl.wick_rotate_operator(DE, B)
-    _, gL, betaL, DL, bfL = wl.flat_dirac_package(sigL, 4)
-    d = wl.operator_max_diff(Ds, DL)
-    out.append(("flat_wick_equals_direct", d <= 1e-12, f"max entry diff {d:.2e}"))
-    r = wl.operator_max_diff(wl.inverse_wick(Ds, B), DE)
-    out.append(("wick_roundtrip", r <= 1e-13, f"max entry diff {r:.2e}"))
-    sa = wl.krein_selfadjoint_residual(Ds, bfL)
-    out.append(("rotated_selfadjoint", sa <= 1e-12, f"residual {sa:.2e}"))
-    CE = wl.build_field_charge_conjugation(specE, gE, betaE)
-    Cs = sr.AntilinearOp(B.blocks[0] @ CE.m)
-    ac = wl.anticommutation_residual(Ds, Cs)
-    out.append(("rotated_anticommutes_C", ac <= 1e-12, f"residual {ac:.2e}"))
-    return out
+    # (4,0) -> (1,3) on a 4^4 lattice
+    res = wl.wick_rotation(Signature(4, 0), 4)[3]
+    d, r, sa, ac = (res[k] for k in ("direct_compare", "roundtrip", "selfadjoint", "anticommute"))
+    return [
+        ("flat_wick_equals_direct", d <= 1e-12, f"max entry diff {d:.2e}"),
+        ("wick_roundtrip", r <= 1e-13, f"max entry diff {r:.2e}"),
+        ("rotated_selfadjoint", sa <= 1e-12, f"residual {sa:.2e}"),
+        ("rotated_anticommutes_C", ac <= 1e-12, f"residual {ac:.2e}"),
+    ]
 
 
 def run_ideals(seed: int) -> list[tuple[str, bool, str]]:

@@ -11,7 +11,10 @@ and the rotated operator is
 
 with the inverse map restoring D exactly.  The rotated operator is
 self-adjoint for the positive product attached to b and anticommutes with
-the rotated charge conjugation B*C.
+the rotated charge conjugation B*C.  `wick_rotation(sig, sites, spacing,
+to)` is that recipe end to end: it rotates the Euclidean operator, builds
+the target signature's operator directly, and returns the four residuals
+(direct comparison, self-adjointness, anticommutation with C, round trip).
 
 Rotation, adjoints and residuals act on the blocks.  The operators commute
 with the lattice shifts by construction, so a spectrum is the union of the
@@ -28,18 +31,12 @@ import numpy as np
 
 from .clifford_core import (
     AdmissibleRealStructure,
+    Multivector,
     Signature,
     make_real_structure,
+    make_sigma_from_vector,
 )
-from .spinor_rep import (
-    AntilinearOp,
-    GammaSet,
-    KreinForm,
-    build_charge_conjugation,
-    build_gammas,
-    build_krein_form,
-    represent,
-)
+from .spinor_rep import AntilinearOp, GammaSet, build_gammas, represent
 
 # Largest lattice dimension N^n * d accepted; (4,0) N=16 sits exactly at it.
 MAX_DIM = 1 << 18
@@ -143,13 +140,6 @@ def build_fundamental_symmetry(spec: LatticeSpec, g: GammaSet, b) -> FieldOperat
     elif np.abs(sq - np.eye(spec.spinor_dim)).max() > 1e-10:
         raise ValueError("rho(b)^2 != +/-I; b is not a valid fundamental symmetry")
     return _site_operator(spec, Bblk)
-
-
-def build_field_charge_conjugation(
-    spec: LatticeSpec, g: GammaSet, beta: KreinForm
-) -> AntilinearOp:
-    """The spinor charge conjugation; its d x d matrix acts site by site."""
-    return build_charge_conjugation(g, beta)[0]
 
 
 def _involution(B: FieldOperator) -> np.ndarray:
@@ -289,10 +279,39 @@ def export_coo_json(D: FieldOperator) -> dict:
 
 
 def flat_dirac_package(sig: Signature, sites: int, spacing: float = 1.0):
-    """Convenience bundle: lattice, gammas, beta, D, field-level beta."""
+    """Convenience bundle: lattice, gammas, D, field-level beta."""
     spec = LatticeSpec(sig, sites, spacing)
     g = build_gammas(sig)
-    beta = build_krein_form(g)
     D = build_flat_dirac(spec, g)
-    beta_field = _site_operator(spec, beta.beta)
-    return spec, g, beta, D, beta_field
+    return spec, g, D, _site_operator(spec, g.beta)
+
+
+def wick_rotation(sig: Signature, sites: int, spacing: float = 1.0, to: str = "antilorentz"):
+    """Wick-rotate the flat Dirac operator of the Euclidean signature sig.
+
+    b = e_1 rotates to (1, n-1) (``to="antilorentz"``), the graded e_n to
+    (n-1, 1) (``to="lorentz"``).  Returns (target, D, D_sigma, residuals),
+    the residuals keyed direct_compare, selfadjoint, anticommute, roundtrip.
+    """
+    if sig.q != 0:
+        raise ValueError("the wick verb rotates a Euclidean (q=0) lattice operator")
+    spec, g, D, _ = flat_dirac_package(sig, sites, spacing)
+    if to == "antilorentz":
+        target = Signature(1, sig.n - 1)
+        b = make_sigma_from_vector(Multivector.basis_vector(sig, 1))
+    elif to == "lorentz":
+        target = Signature(sig.n - 1, 1)
+        b = make_sigma_from_vector(Multivector.basis_vector(sig, sig.n), graded=True)
+    else:
+        raise ValueError(f"unknown target {to!r}; choose antilorentz or lorentz")
+    B = build_fundamental_symmetry(spec, g, b)
+    D_sigma = wick_rotate_operator(D, B)
+    _, _, D_direct, beta_field_t = flat_dirac_package(target, sites, spacing)
+    C_sigma = AntilinearOp(B.blocks[0] @ g.charge_conjugation[0].m)
+    residuals = {
+        "direct_compare": operator_max_diff(D_sigma, D_direct),
+        "selfadjoint": krein_selfadjoint_residual(D_sigma, beta_field_t),
+        "anticommute": anticommutation_residual(D_sigma, C_sigma),
+        "roundtrip": operator_max_diff(inverse_wick(D_sigma, B), D),
+    }
+    return target, D, D_sigma, residuals

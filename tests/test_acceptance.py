@@ -92,7 +92,7 @@ def test_criterion_3_spinor_form_alternative(capsys):
     for sig in SWEEP_SIGS:
         g = sr.build_gammas(sig)
         beta = sr.build_krein_form(g)
-        rep = hermitian_inertia(beta.beta)
+        rep = hermitian_inertia(beta)
         if sig.q == 0:
             assert rep.classification == "positive_definite", sig
         else:
@@ -129,18 +129,12 @@ def test_criterion_4_cone_oracle_agreement(capsys):
 
 
 def test_criterion_5_flat_wick_example(capsys):
-    sigE = Signature(4, 0)
-    spec, g, beta, D, _ = wl.flat_dirac_package(sigE, 4)
-    b = make_sigma_from_vector(Multivector.basis_vector(sigE, 1))
-    B = wl.build_fundamental_symmetry(spec, g, b)
-    D_sigma = wl.wick_rotate_operator(D, B)
-    _, gL, betaL, D_direct, beta_field_L = wl.flat_dirac_package(Signature(1, 3), 4)
-    assert wl.operator_max_diff(D_sigma, D_direct) <= 1e-12
-    assert wl.krein_selfadjoint_residual(D_sigma, beta_field_L) <= 1e-12
-    C_E = wl.build_field_charge_conjugation(spec, g, beta)
-    C_sigma = sr.AntilinearOp(B.blocks[0] @ C_E.m)
-    assert wl.anticommutation_residual(D_sigma, C_sigma) <= 1e-12
-    assert wl.operator_max_diff(wl.inverse_wick(D_sigma, B), D) <= 1e-13
+    target, _, _, res = wl.wick_rotation(Signature(4, 0), 4)
+    assert target == Signature(1, 3)
+    assert res["direct_compare"] <= 1e-12
+    assert res["selfadjoint"] <= 1e-12
+    assert res["anticommute"] <= 1e-12
+    assert res["roundtrip"] <= 1e-13
     report(capsys, "PASS criterion 5: (4,0) N=4 lattice Dirac rotates onto (1,3) exactly")
 
 

@@ -79,6 +79,25 @@ def test_signature_mismatch_raises():
         a * b
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("-inf"))])
+def test_non_finite_coefficient_is_refused(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        Multivector(Signature(2, 0), {1: bad, 2: 1.0})
+
+
+def test_from_dense_passes_nan_to_the_finiteness_check():
+    with pytest.raises(ValueError, match="non-finite"):
+        Multivector.from_dense(Signature(2, 0), np.array([0.0, np.nan, 0.0, 1.0]))
+
+
+def test_overflowing_product_is_refused():
+    # (1 + e_12)^2 = 2 e_12; at this scale the scalar part is inf - inf = NaN
+    sig = Signature(2, 0)
+    a = 1e300 * (Multivector.unit(sig) + Multivector.blade(sig, [1, 2]))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+        a * a
+
+
 # -- involutions and traces --------------------------------------------
 
 

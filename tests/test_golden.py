@@ -3,7 +3,7 @@ JSON byte for byte except the charge conjugation matrix, which is pinned
 entrywise within 1e-12 (its phase normalization rounds in the last bit).
 
 `garling`, `csnorm`, `ideal`, `wick`, `cone` and
-`verify --suite ideals|core|spinor|cone` are pinned as parsed payloads:
+`verify --suite ideals|core|spinor|cone|wick` are pinned as parsed payloads:
 ints, bools and the text of strings exactly, floats within 1e-12,
 including the numbers written inside strings (multivector coefficients,
 `verify` details), since a reordered sum moves the last bits.  The
@@ -53,7 +53,7 @@ def _assert_matches(got, want, path="$"):
         assert type(got) is type(want) and got == want, (path, got, want)
 
 
-GOLDEN_VERBS = ("garling", "csnorm", "ideal", "wick", "verify", "cone", "verify_spinor_cone")
+GOLDEN_VERBS = ("garling", "csnorm", "ideal", "wick", "verify", "cone", "verify_spinor_cone", "verify_wick")
 
 
 def _golden_cases(verb):

@@ -19,7 +19,6 @@ from krein_clifford.signature_detect import (
     krein_positive,
 )
 from krein_clifford.spinor_rep import (
-    KreinForm,
     build_gammas,
     build_krein_form,
     chirality,
@@ -75,7 +74,7 @@ def test_cone_verdict_does_not_depend_on_call_order():
     # the canonical timelike vector e_1 is future for both, in any order
     sig = Signature(1, 3)
     g, beta = _setup(sig)
-    neg = KreinForm(-beta.beta)
+    neg = -beta
     e1 = [1.0, 0.0, 0.0, 0.0]
     for form in (neg, beta, neg):
         r = cone_test(sig, g, form, e1)
@@ -96,12 +95,12 @@ def _cone_form_by_products(sig, g, beta, v):
     """The cone form through Multivector products and `represent`, as it
     was defined before the closed form read it off the gamma stack."""
     if sig.p == 1:  # anti-Lorentz: rho(v)^{-1} = rho(v)/Q(v)
-        return beta.beta @ (represent(g, v) / quadratic_form(v).real)
+        return beta @ (represent(g, v) / quadratic_form(v).real)
     w = volume_element(sig) * v
     A = represent(g, w) / (w * w).scalar_value().real
     if sig.n % 8 in (0, 4):
         A = -1j * A  # (i rho(omega v))^{-1}
-    return beta.beta @ A
+    return beta @ A
 
 
 def _verdict_by_products(sig, g, beta, v):
@@ -212,7 +211,7 @@ def test_krein_positive_examples():
     sig = Signature(1, 3)
     g, beta = _setup(sig)
     # the identity is Krein positive iff beta is positive definite (it is not)
-    assert not krein_positive(beta, beta.beta @ beta.beta)  # beta^2 = I, beta*I indefinite
+    assert not krein_positive(beta, beta @ beta)  # beta^2 = I, beta*I indefinite
     # a future timelike vector acts Krein-positively
     v = Multivector.from_vector(sig, [2.0, 0.3, -0.1, 0.4])
     assert krein_positive(beta, represent(g, v))

@@ -126,12 +126,11 @@ def test_krein_form_properties(rng):
     for sig in SIGS:
         g = build_gammas(sig)
         beta = build_krein_form(g)
-        b = beta.beta
-        assert np.abs(b - b.conj().T).max() < 1e-10
-        assert np.abs(b @ b - np.eye(g.dim)).max() < 1e-9
+        assert np.abs(beta - beta.conj().T).max() < 1e-10
+        assert np.abs(beta @ beta - np.eye(g.dim)).max() < 1e-9
         # defining property: beta gamma_i beta^{-1} = gamma_i^dagger
         for gam in g.gammas:
-            assert np.abs(b @ gam @ b - gam.conj().T).max() < 1e-9
+            assert np.abs(beta @ gam @ beta - gam.conj().T).max() < 1e-9
         # hence rho(a^x) is the Krein adjoint of rho(a)
         a = rand_mv(sig, rng)
         assert np.abs(represent(g, a.cross()) - krein_adjoint(beta, represent(g, a))).max() < 1e-9
@@ -140,7 +139,7 @@ def test_krein_form_properties(rng):
 def test_krein_form_definite_iff_euclidean_metric():
     for sig in SIGS:
         g = build_gammas(sig)
-        w = np.linalg.eigvalsh(build_krein_form(g).beta)
+        w = np.linalg.eigvalsh(build_krein_form(g))
         if sig.q == 0:
             assert w[0] > 0.5  # beta = identity-like, positive definite
         else:
@@ -174,7 +173,7 @@ def test_antilinear_op_mechanics(rng):
 def test_antilinear_adjoint_defining_property(rng):
     sig = Signature(1, 3)
     g = build_gammas(sig)
-    beta = build_krein_form(g).beta
+    beta = build_krein_form(g)
     C, _, _ = build_charge_conjugation(g, build_krein_form(g))
     adj = antilinear_adjoint(beta, C)
     for _ in range(10):
@@ -309,6 +308,33 @@ def test_sigma_compatible_product_adjunction(rng):
         lhs = bs @ represent(g, b.sigma_cross(a))
         rhs = represent(g, a).conj().T @ bs
         assert np.abs(lhs - rhs).max() < 1e-8
+
+
+def test_spinor_structures_are_built_lazily_and_once(monkeypatch, capsys):
+    import krein_clifford.spinor_rep as sr
+    from krein_clifford import algebraic_spinors as asp
+    from krein_clifford import cli
+
+    def refuse(*args):
+        raise AssertionError("built although nothing reads it")
+
+    # `cone` and the rho norm read only the Krein form
+    monkeypatch.setattr(sr, "chirality", refuse)
+    monkeypatch.setattr(sr, "build_charge_conjugation", refuse)
+    assert cli.main(["--format", "json", "cone", "--p", "1", "--q", "3", "--v", "2,0.5,0,0"]) == 0
+    assert '"in_cone": true' in capsys.readouterr().out
+    sig = Signature(1, 3)
+    asp.rho_operator_norm(euclidean_structure(sig), Multivector.basis_vector(sig, 2))
+    monkeypatch.undo()
+
+    calls = []
+    build = sr.build_krein_form
+    monkeypatch.setattr(sr, "build_krein_form", lambda g: calls.append(g) or build(g))
+    ko_signs(sig, "antilorentz")
+    assert len(calls) == 1
+    g = build_gammas(sig)
+    assert g.beta is g.beta and g.chi is g.chi and g.charge_conjugation is g.charge_conjugation
+    assert build_gammas(sig).beta is not g.beta  # no cache across calls
 
 
 def test_wick_sign_transition_agrees():

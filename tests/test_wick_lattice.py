@@ -16,7 +16,6 @@ from krein_clifford.wick_lattice import (
     FieldOperator,
     LatticeSpec,
     anticommutation_residual,
-    build_field_charge_conjugation,
     build_flat_dirac,
     build_fundamental_symmetry,
     export_coo_json,
@@ -30,6 +29,7 @@ from krein_clifford.wick_lattice import (
     sort_spectrum,
     spectrum,
     wick_rotate_operator,
+    wick_rotation,
 )
 
 PAIR_TOL = 1e-6  # defective zero eigenvalues split at the eigensolver level
@@ -87,37 +87,44 @@ def test_lattice_spec_validation():
 @pytest.mark.parametrize("pq,N", [((2, 0), 4), ((1, 1), 4), ((1, 1), 5)])
 def test_dirac_spectrum_matches_plane_wave_oracle(pq, N):
     sig = Signature(*pq)
-    spec, g, beta, D, beta_field = flat_dirac_package(sig, N)
+    spec, g, D, beta_field = flat_dirac_package(sig, N)
     _assert_same_multiset(np.linalg.eigvals(D.matrix.toarray()), _plane_wave_spectrum(spec, _raised_gammas(g)))
 
 
 def test_dirac_is_krein_selfadjoint_and_anticommutes_with_C():
     for pq in [(2, 0), (1, 1), (1, 3)]:
         sig = Signature(*pq)
-        spec, g, beta, D, beta_field = flat_dirac_package(sig, 3)
+        spec, g, D, beta_field = flat_dirac_package(sig, 3)
         assert krein_selfadjoint_residual(D, beta_field) < 1e-12
-        C = build_field_charge_conjugation(spec, g, beta)
+        C = g.charge_conjugation[0]
         assert anticommutation_residual(D, C) < 1e-12
 
 
 def test_flat_wick_rotation_equals_direct_assembly():
-    spec, g, beta, D, _ = flat_dirac_package(Signature(4, 0), 3)
+    spec, g, D, _ = flat_dirac_package(Signature(4, 0), 3)
     b = make_sigma_from_vector(Multivector.basis_vector(Signature(4, 0), 1))
     B = build_fundamental_symmetry(spec, g, b)
     D_sigma = wick_rotate_operator(D, B)
-    _, _, _, D_direct, beta_field_t = flat_dirac_package(Signature(1, 3), 3)
+    _, _, D_direct, beta_field_t = flat_dirac_package(Signature(1, 3), 3)
     assert operator_max_diff(D_sigma, D_direct) <= 1e-12
     assert krein_selfadjoint_residual(D_sigma, beta_field_t) <= 1e-12
     assert operator_max_diff(inverse_wick(D_sigma, B), D) <= 1e-13
 
 
+def test_wick_rotation_refuses_bad_input():
+    with pytest.raises(ValueError, match="q=0"):
+        wick_rotation(Signature(1, 1), 3)
+    with pytest.raises(ValueError, match="unknown target"):
+        wick_rotation(Signature(2, 0), 3, to="lorenz")
+
+
 def test_flat_wick_rotation_lorentz_direction():
     sig = Signature(2, 0)
-    spec, g, beta, D, _ = flat_dirac_package(sig, 4)
+    spec, g, D, _ = flat_dirac_package(sig, 4)
     b = make_sigma_from_vector(Multivector.basis_vector(sig, 2), graded=True)
     B = build_fundamental_symmetry(spec, g, b)
     D_sigma = wick_rotate_operator(D, B)
-    _, _, _, D_direct, _ = flat_dirac_package(Signature(1, 1), 4)
+    _, _, D_direct, _ = flat_dirac_package(Signature(1, 1), 4)
     assert operator_max_diff(D_sigma, D_direct) <= 1e-12
 
 
@@ -140,7 +147,7 @@ def test_rotated_gammas_satisfy_target_relations():
 
 
 def test_wick_rotation_requires_involutive_symmetry():
-    spec, g, beta, D, _ = flat_dirac_package(Signature(1, 1), 3)
+    spec, g, D, _ = flat_dirac_package(Signature(1, 1), 3)
     bad = _site_operator(spec, 2.0 * np.eye(spec.spinor_dim))
     with pytest.raises(ValueError):
         wick_rotate_operator(D, bad)
@@ -151,21 +158,21 @@ def test_wick_rotation_requires_involutive_symmetry():
 
 
 def test_inverse_wick_requires_involutive_symmetry():
-    spec, g, beta, D, _ = flat_dirac_package(Signature(1, 1), 3)
+    spec, g, D, _ = flat_dirac_package(Signature(1, 1), 3)
     bad = _site_operator(spec, 2.0 * np.eye(spec.spinor_dim))
     with pytest.raises(ValueError, match="not involutive"):
         inverse_wick(D, bad)
 
 
 def test_identity_symmetry_round_trip():
-    spec, g, beta, D, _ = flat_dirac_package(Signature(1, 1), 3)
+    spec, g, D, _ = flat_dirac_package(Signature(1, 1), 3)
     B = _site_operator(spec, np.eye(spec.spinor_dim))
     assert operator_max_diff(wick_rotate_operator(D, B), D) == 0
     assert operator_max_diff(inverse_wick(D, B), D) == 0
 
 
 def test_spectrum_sorting_and_caps():
-    spec, g, beta, D, _ = flat_dirac_package(Signature(1, 1), 4)
+    spec, g, D, _ = flat_dirac_package(Signature(1, 1), 4)
     vals = spectrum(D, k=8)
     mags = np.abs(vals)
     assert all(mags[i] >= mags[i + 1] - 1e-12 for i in range(len(mags) - 1))
@@ -177,7 +184,7 @@ def test_spectrum_sorting_and_caps():
 @pytest.mark.parametrize("pq,N", [((1, 1), 4), ((2, 0), 5), ((4, 0), 3)])
 def test_spectrum_matches_dense_eigvals(pq, N):
     sig = Signature(*pq)
-    spec, g, beta, D, _ = flat_dirac_package(sig, N)
+    spec, g, D, _ = flat_dirac_package(sig, N)
     D_sigma, _ = _rotated(sig, spec, g, D)
     for op in (D, D_sigma):
         _assert_same_multiset(spectrum(op, k=spec.total_dim), np.linalg.eigvals(op.matrix.toarray()))
@@ -185,14 +192,14 @@ def test_spectrum_matches_dense_eigvals(pq, N):
 
 def test_spectrum_agrees_with_plane_wave_blocks():
     sig = Signature(2, 0)
-    spec, g, beta, D, _ = flat_dirac_package(sig, 65)
+    spec, g, D, _ = flat_dirac_package(sig, 65)
     D_sigma, Bblk = _rotated(sig, spec, g, D)
     for op, gammas_up in ((D, _raised_gammas(g)), (D_sigma, rotated_gammas(g, Bblk))):
         _assert_same_multiset(spectrum(op, k=spec.total_dim), _plane_wave_spectrum(spec, gammas_up))
 
 
 def test_field_operator_refuses_blocks_of_wrong_shape():
-    spec, g, beta, D, _ = flat_dirac_package(Signature(2, 0), 5)
+    spec, g, D, _ = flat_dirac_package(Signature(2, 0), 5)
     for blocks in (D.blocks[:2], D.blocks[:, :1, :1], D.matrix.toarray()):
         with pytest.raises(ValueError, match="expected \\(3, 2, 2\\)"):
             FieldOperator(spec, blocks)
@@ -203,9 +210,9 @@ def test_field_operator_refuses_blocks_of_wrong_shape():
 @pytest.mark.parametrize("spacing", [1.0, 0.5])
 def test_block_residuals_match_assembled_matrices(pq, N, spacing):
     sig = Signature(*pq)
-    spec, g, beta, D, beta_field = flat_dirac_package(sig, N, spacing)
+    spec, g, D, beta_field = flat_dirac_package(sig, N, spacing)
     D_sigma, _ = _rotated(sig, spec, g, D)
-    C = build_field_charge_conjugation(spec, g, beta)
+    C = g.charge_conjugation[0]
     Cm = sp.kron(C.m, sp.identity(spec.n_sites), format="csr")
     massive = FieldOperator(spec, D_sigma.blocks + beta_field.blocks)  # a nonzero site block
     for op, other in ((D, D_sigma), (D_sigma, D), (massive, D)):
@@ -234,7 +241,7 @@ def test_sort_spectrum_ignores_rounding_noise():
 
 
 def test_export_formats():
-    spec, g, beta, D, _ = flat_dirac_package(Signature(1, 1), 3)
+    spec, g, D, _ = flat_dirac_package(Signature(1, 1), 3)
     text = export_coo_text(D)
     lines = text.strip().splitlines()
     coo = D.matrix.tocoo()
@@ -256,7 +263,7 @@ def test_export_formats():
 def test_export_text_matches_golden():
     # byte for byte, so a signed zero (-0) in the assembled matrix shows
     sig = Signature(1, 1)
-    spec, g, beta, D, _ = flat_dirac_package(sig, 3, 0.5)
+    spec, g, D, _ = flat_dirac_package(sig, 3, 0.5)
     D_sigma, _ = _rotated(sig, spec, g, D)
     want = (Path(__file__).parent / "golden" / "coo_dsigma_1_1.txt").read_text()
     assert export_coo_text(D_sigma) == want
