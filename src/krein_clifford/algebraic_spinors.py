@@ -62,9 +62,9 @@ def ideal_from_idempotent(e: Multivector) -> IdempotentIdeal:
     S = sign_table(sig.p, sig.n)  # refuses n above the table cap up front
     if not (e * e).approx_eq(e, tol=1e-10):
         raise ValueError("e is not idempotent")
-    g = build_gammas(sig)
-    svals = np.linalg.svd(represent(g, e), compute_uv=False)
-    rank = int(np.sum(svals > 1e-9 * max(svals[0], 1.0)))
+    # rho(e) is a projector, so its rank is its trace; every blade but the
+    # unit is traceless, so the trace is 2^(n/2) times the scalar part of e
+    rank = round((1 << (sig.n // 2)) * e.normalized_trace().real)
     if rank != 1:
         raise ValueError(f"e is not primitive (rank {rank} != 1)")
     target = 1 << (sig.n // 2)

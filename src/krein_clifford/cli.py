@@ -210,7 +210,7 @@ def cmd_gammas(args) -> int:
         "gammas": list(g.gammas),
         "beta": g.beta,
         "chirality": g.chi,
-        "charge_conjugation": C.m,
+        "charge_conjugation": C,
         "eps_tilde": eps_tilde,
         "kappa_tilde": kappa_tilde,
     }
@@ -298,7 +298,19 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _is_vector(token: str) -> bool:
+    try:
+        return bool([float(x) for x in token.split(",")])
+    except ValueError:
+        return False
+
+
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a bare `-2,0.5,0,0` as an option, so glue it to its `--v`
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--v" and _is_vector(argv[i]):
+            argv[i - 1 : i + 1] = [f"--v={argv[i]}"]
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

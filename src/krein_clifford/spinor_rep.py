@@ -6,6 +6,10 @@ them are multiplied by i.  On top of that sit the compatible Krein form,
 the charge conjugation operators (ungraded and graded), and the sign
 tables classifying their squares and adjoints.
 
+Every spinor-space operator is a d x d ndarray: the antilinear charge
+conjugation is its matrix C, acting as psi -> C conj(psi), and two
+antilinear maps A, B compose to the linear map A @ B.conj().
+
 `build_gammas(sig)` returns a `GammaSet`, which is the one place the
 spinor structures of a signature are built: `g.beta` (the Krein form, a
 hermitian ndarray), `g.chi` (chirality) and `g.charge_conjugation`
@@ -18,7 +22,7 @@ oriented to be positive definite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -75,7 +79,7 @@ class GammaSet:
         return chirality(self)
 
     @cached_property
-    def charge_conjugation(self) -> tuple[AntilinearOp, int, int]:
+    def charge_conjugation(self) -> tuple[np.ndarray, int, int]:
         return build_charge_conjugation(self, self.beta)
 
 
@@ -90,20 +94,24 @@ def build_gammas(sig: Signature) -> GammaSet:
     return GammaSet(sig, gammas)
 
 
+def _gamma_product(g: GammaSet, mask: int) -> np.ndarray:
+    """The gammas of the set bits of mask, multiplied in index order."""
+    m = np.eye(g.dim, dtype=np.complex128)
+    i = 0
+    while mask >> i:
+        if (mask >> i) & 1:
+            m = m @ g.gammas[i]
+        i += 1
+    return m
+
+
 def represent(g: GammaSet, a: Multivector) -> np.ndarray:
     """Algebra homomorphism: blade -> ordered product of generator matrices."""
     if a.sig != g.sig:
         raise RepresentationError(f"signature mismatch: {a.sig} vs {g.sig}")
-    N = g.dim
-    out = np.zeros((N, N), dtype=np.complex128)
+    out = np.zeros((g.dim, g.dim), dtype=np.complex128)
     for mask, coeff in a.coeffs.items():
-        m = np.eye(N, dtype=np.complex128)
-        i = 0
-        while mask >> i:
-            if (mask >> i) & 1:
-                m = m @ g.gammas[i]
-            i += 1
-        out += coeff * m
+        out += coeff * _gamma_product(g, mask)
     return out
 
 
@@ -144,65 +152,30 @@ def build_krein_form(g: GammaSet) -> np.ndarray:
     """Compatible Krein form: the hermitian involutive matrix beta with
     beta gamma_i beta^-1 = gamma_i^dagger, a product of the hermitian (or
     antihermitian) generators, hermitian-normalized."""
-    sig = g.sig
-    N = g.dim
-
-    def finalize(cand: np.ndarray) -> np.ndarray | None:
-        if np.abs(cand + cand.conj().T).max() < 1e-10:
-            cand = 1j * cand
-        if np.abs(cand - cand.conj().T).max() > 1e-10:
-            return None
-        sq = cand @ cand
-        scale = np.real(np.trace(sq)) / N
-        if scale <= 0:
-            return None
-        cand = cand / np.sqrt(scale)
-        if np.abs(cand @ cand - np.eye(N)).max() > 1e-9:
-            return None
-        for gam in g.gammas:
-            if np.abs(cand @ gam.conj().T - gam @ cand).max() > 1e-9:
-                return None
-        return _fix_matrix_sign(cand)
-
-    if sig.p % 2 == 1:
-        idx = range(sig.p)
-    else:
-        idx = range(sig.p, sig.n)
-    cand = np.eye(N, dtype=np.complex128)
-    for i in idx:
-        cand = cand @ g.gammas[i]
-    form = finalize(cand)
-    if form is None:
+    p, n, N = g.sig.p, g.sig.n, g.dim
+    # the first p gammas when p is odd, the last q otherwise
+    cand = _gamma_product(g, (1 << p) - 1 if p % 2 else (1 << n) - (1 << p))
+    if np.abs(cand + cand.conj().T).max() < 1e-10:
+        cand = 1j * cand
+    scale = np.real(np.trace(cand @ cand)) / N
+    if np.abs(cand - cand.conj().T).max() > 1e-10 or scale <= 0:
         raise RepresentationError("no hermitian involutive Krein form found")
-    return form
+    cand = cand / np.sqrt(scale)
+    if np.abs(cand @ cand - np.eye(N)).max() > 1e-9 or any(
+        np.abs(cand @ gam.conj().T - gam @ cand).max() > 1e-9 for gam in g.gammas
+    ):
+        raise RepresentationError("no hermitian involutive Krein form found")
+    return _fix_matrix_sign(cand)
 
 
 def krein_adjoint(beta: np.ndarray, A: np.ndarray) -> np.ndarray:
     return beta @ A.conj().T @ beta
 
 
-@dataclass(frozen=True)
-class AntilinearOp:
-    """psi -> m * conj(psi), conjugation in the standard coordinates."""
-
-    m: np.ndarray
-
-    def __call__(self, psi: np.ndarray) -> np.ndarray:
-        return self.m @ psi.conj()
-
-    def compose_antilinear(self, other: "AntilinearOp") -> np.ndarray:
-        """Linear matrix of self applied after other."""
-        return self.m @ other.m.conj()
-
-    def conjugate_matrix(self, A: np.ndarray) -> np.ndarray:
-        """self A self^-1 as a linear operator."""
-        return self.m @ A.conj() @ np.linalg.inv(self.m)
-
-
-def antilinear_adjoint(beta_mat: np.ndarray, op: AntilinearOp) -> AntilinearOp:
-    """Adjoint of an antilinear operator for the form (x, y) = x^dagger beta y."""
-    m_adj = np.linalg.solve(beta_mat, op.m.T @ beta_mat.conj())
-    return AntilinearOp(m_adj)
+def antilinear_adjoint(beta: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Matrix of the adjoint of psi -> C conj(psi) for the form
+    (x, y) = x^dagger beta y; the adjoint is antilinear as well."""
+    return np.linalg.solve(beta, C.T @ beta.conj())
 
 
 def _scalar_of(m: np.ndarray, what: str, tol: float = 1e-9) -> complex:
@@ -219,16 +192,16 @@ def _sign_of(val: complex, what: str, tol: float = 1e-9) -> int:
     return 1 if val.real > 0 else -1
 
 
-def _antilinear_signs(op: AntilinearOp, beta: np.ndarray, name: str) -> tuple[int, int]:
-    """(eps, kappa) with op^2 = eps and op^x op = kappa for the form beta."""
-    eps = _sign_of(_scalar_of(op.compose_antilinear(op), f"{name}^2"), f"{name}^2")
-    adj = antilinear_adjoint(beta, op)
+def _antilinear_signs(C: np.ndarray, beta: np.ndarray, name: str) -> tuple[int, int]:
+    """(eps, kappa) with C^2 = eps and C^x C = kappa for the form beta,
+    C acting antilinearly as psi -> C conj(psi)."""
+    eps = _sign_of(_scalar_of(C @ C.conj(), f"{name}^2"), f"{name}^2")
     what = f"{name}^x {name}"
-    return eps, _sign_of(_scalar_of(adj.compose_antilinear(op), what), what)
+    return eps, _sign_of(_scalar_of(antilinear_adjoint(beta, C) @ C.conj(), what), what)
 
 
-def build_charge_conjugation(g: GammaSet, beta: np.ndarray) -> tuple[AntilinearOp, int, int]:
-    """Antilinear operator C with C gamma_i C^-1 = gamma_i.
+def build_charge_conjugation(g: GammaSet, beta: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """Matrix C of the antilinear psi -> C conj(psi) with C gamma_i C^-1 = gamma_i.
 
     Every ladder generator is real or imaginary, so the matrix of C is the
     ordered product of the imaginary gammas when they are even in number, of
@@ -239,13 +212,9 @@ def build_charge_conjugation(g: GammaSet, beta: np.ndarray) -> tuple[AntilinearO
     C^x C = kappa_tilde after normalization; residual phase fixed by the
     first nonzero entry of the matrix.
     """
-    N = g.dim
     imag = [np.abs(gam.real).max() < 1e-12 for gam in g.gammas]
     pick = sum(imag) % 2 == 0
-    m = np.eye(N, dtype=np.complex128)
-    for gam, im in zip(g.gammas, imag):
-        if im == pick:
-            m = m @ gam
+    m = _gamma_product(g, sum(1 << i for i, im in enumerate(imag) if im == pick))
     if any(np.abs(m @ gam.conj() - gam @ m).max() > 1e-9 for gam in g.gammas):
         raise RepresentationError("charge conjugation does not intertwine the generators")
     # scale so that C^2 = +/-1
@@ -255,18 +224,18 @@ def build_charge_conjugation(g: GammaSet, beta: np.ndarray) -> tuple[AntilinearO
     flat = m.ravel()
     lead = flat[np.flatnonzero(np.abs(flat) > 1e-12 * np.abs(flat).max())[0]]
     m = m * (abs(lead) / lead)
-    op = AntilinearOp(m)
-    return op, *_antilinear_signs(op, beta, "C")
+    return m, *_antilinear_signs(m, beta, "C")
 
 
-def graded_charge_conjugation(C: AntilinearOp, chi: np.ndarray) -> AntilinearOp:
-    return AntilinearOp(chi @ C.m)
+def graded_charge_conjugation(C: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    """Matrix of the antilinear chi C: psi -> chi C conj(psi)."""
+    return chi @ C
 
 
-def commutation_sign(C: AntilinearOp, chi: np.ndarray) -> int:
-    """Sign s in C chi = s chi C."""
-    lhs = C.m @ chi.conj()
-    rhs = chi @ C.m
+def commutation_sign(C: np.ndarray, chi: np.ndarray) -> int:
+    """Sign s in C chi = s chi C, C acting as psi -> C conj(psi)."""
+    lhs = C @ chi.conj()
+    rhs = chi @ C
     idx = np.abs(rhs).argmax()
     s = lhs.flat[idx] / rhs.flat[idx]
     if np.abs(lhs - s * rhs).max() > 1e-9 * np.abs(rhs).max():
@@ -285,15 +254,7 @@ class KOSigns:
     ko_dim_mod8: int
 
     def as_dict(self) -> dict:
-        return {
-            "metric_dim_mod8": self.metric_dim_mod8,
-            "ko_dim_mod8": self.ko_dim_mod8,
-            "eps": self.eps,
-            "eps_dprime": self.eps_dprime,
-            "eps_tilde": self.eps_tilde,
-            "kappa": self.kappa,
-            "kappa_tilde": self.kappa_tilde,
-        }
+        return asdict(self)
 
 
 CASES = ("euclidean", "antilorentz", "lorentz")
@@ -337,11 +298,9 @@ def ko_signs(sig: Signature, case: str) -> KOSigns:
 
 def sigma_compatible_product(beta: np.ndarray, g: GammaSet, b: AdmissibleRealStructure) -> np.ndarray:
     """Krein form making rho(a^{x_sigma}) the adjoint of rho(a)."""
+    # b^2 = lam = +/-1, so rho(b)^-1 = lam rho(b) and (i rho(b))^-1 = -i lam rho(b)
     B = represent(g, b.b)
-    if b.lam_prime == 1:
-        mat = beta @ np.linalg.inv(B)
-    else:
-        mat = beta @ np.linalg.inv(1j * B)
+    mat = beta @ (b.lam * B if b.lam_prime == 1 else -1j * b.lam * B)
     if np.abs(mat - mat.conj().T).max() > 1e-10 * np.abs(mat).max():
         raise RepresentationError("rotated Krein form is not hermitian")
     return 0.5 * (mat + mat.conj().T)
@@ -377,7 +336,7 @@ def wick_sign_transition(from_case: str, sig: Signature, b: AdmissibleRealStruct
     C, eps_tilde, kappa_tilde = g.charge_conjugation
     eps_dprime = commutation_sign(C, g.chi)
 
-    C_E = AntilinearOp(represent(g, b.b) @ C.m)
+    C_E = represent(g, b.b) @ C
     eps_E, kappa_E = _antilinear_signs(C_E, positive_sigma_product(g, b), "C_E")
     measured = {
         "eps_tilde": eps_E,

@@ -3,15 +3,16 @@
 A free Dirac operator on a periodic N^n lattice is
 D = -i * sum_mu gamma^mu (x) d_mu with centered differences d_mu.  Every
 operator here is A = A_0 (x) 1 + sum_mu A_{mu+1} (x) d_mu, stored as its
-(n+1, d, d) stack of spinor blocks (`FieldOperator`).  A constant
-normalized rotation element b yields a site-by-site fundamental symmetry B,
-and the rotated operator is
+(n+1, d, d) stack of spinor blocks (`FieldOperator`).  The site-local
+fundamental symmetry B, Krein form beta and charge conjugation C are plain
+d x d blocks; any other shape is refused.  A constant normalized rotation
+element b yields B, and the rotated operator is
 
     D_sigma = (1+i)/2 * B D B^{-1} + (1-i)/2 * D,
 
 with the inverse map restoring D exactly.  The rotated operator is
 self-adjoint for the positive product attached to b and anticommutes with
-the rotated charge conjugation B*C.  `wick_rotation(sig, sites, spacing,
+the rotated charge conjugation B C.  `wick_rotation(sig, sites, spacing,
 to)` is that recipe end to end: it rotates the Euclidean operator, builds
 the target signature's operator directly, and returns the four residuals
 (direct comparison, self-adjointness, anticommutation with C, round trip).
@@ -36,7 +37,7 @@ from .clifford_core import (
     make_real_structure,
     make_sigma_from_vector,
 )
-from .spinor_rep import AntilinearOp, GammaSet, build_gammas, represent
+from .spinor_rep import GammaSet, build_gammas, represent
 
 # Largest lattice dimension N^n * d accepted; (4,0) N=16 sits exactly at it.
 MAX_DIM = 1 << 18
@@ -107,18 +108,12 @@ class FieldOperator:
         return sp.csr_matrix((data, (rows.ravel(), cols.ravel())), shape=(spec.total_dim,) * 2)
 
 
-def _site_operator(spec: LatticeSpec, m: np.ndarray) -> FieldOperator:
-    """The spinor block m acting on every site."""
-    blocks = np.zeros((spec.sig.n + 1, spec.spinor_dim, spec.spinor_dim), dtype=np.complex128)
-    blocks[0] = m
-    return FieldOperator(spec, blocks)
-
-
-def _site_part(A: FieldOperator, what: str) -> np.ndarray:
-    """The spinor block of an operator that acts site by site."""
-    if A.blocks[1:].any():
-        raise ValueError(f"{what} does not act site by site")
-    return A.blocks[0]
+def _site_block(spec: LatticeSpec, m: np.ndarray, what: str) -> np.ndarray:
+    """m, refused unless it is a d x d spinor block (acting on every site)."""
+    d = spec.spinor_dim
+    if np.shape(m) != (d, d):
+        raise ValueError(f"{what} of shape {np.shape(m)}, expected a {d}x{d} spinor block")
+    return m
 
 
 def build_flat_dirac(spec: LatticeSpec, g: GammaSet) -> FieldOperator:
@@ -129,62 +124,35 @@ def build_flat_dirac(spec: LatticeSpec, g: GammaSet) -> FieldOperator:
     return FieldOperator(spec, np.stack([np.zeros_like(up[0]), *up]))
 
 
-def build_fundamental_symmetry(spec: LatticeSpec, g: GammaSet, b) -> FieldOperator:
-    """B = rho(b) per site; requires b normalized so that B^2 = I."""
+def build_fundamental_symmetry(g: GammaSet, b) -> np.ndarray:
+    """The site block B = rho(b); requires b normalized so that B^2 = I."""
     if not isinstance(b, AdmissibleRealStructure):
         b = make_real_structure(b)
-    Bblk = represent(g, b.b)
-    sq = Bblk @ Bblk
-    if np.abs(sq + np.eye(spec.spinor_dim)).max() <= 1e-10:
-        Bblk = 1j * Bblk  # b^2 = -1: the involutive symmetry is i*rho(b)
-    elif np.abs(sq - np.eye(spec.spinor_dim)).max() > 1e-10:
+    B = represent(g, b.b)
+    sq = B @ B
+    if np.abs(sq + np.eye(g.dim)).max() <= 1e-10:
+        B = 1j * B  # b^2 = -1: the involutive symmetry is i*rho(b)
+    elif np.abs(sq - np.eye(g.dim)).max() > 1e-10:
         raise ValueError("rho(b)^2 != +/-I; b is not a valid fundamental symmetry")
-    return _site_operator(spec, Bblk)
+    return B
 
 
-def _involution(B: FieldOperator) -> np.ndarray:
-    """The spinor block of a site-by-site B with B^2 = I."""
-    B0 = _site_part(B, "fundamental symmetry")
-    if np.abs(B0 @ B0 - np.eye(len(B0))).max() > 1e-10:
+def _rotate(D: FieldOperator, B: np.ndarray, z: complex) -> FieldOperator:
+    """z * B D B + conj(z) * D for an involutive site block B."""
+    B = _site_block(D.spec, B, "fundamental symmetry")
+    if np.abs(B @ B - np.eye(len(B))).max() > 1e-10:
         raise ValueError("fundamental symmetry is not involutive")
-    return B0
+    return FieldOperator(D.spec, z * (B @ D.blocks @ B) + z.conjugate() * D.blocks)
 
 
-def wick_rotate_operator(D: FieldOperator, B: FieldOperator) -> FieldOperator:
+def wick_rotate_operator(D: FieldOperator, B: np.ndarray) -> FieldOperator:
     """D_sigma = (1+i)/2 * B D B^{-1} + (1-i)/2 * D  (with B^{-1} = B)."""
-    B0 = _involution(B)
-    return FieldOperator(D.spec, 0.5 * (1 + 1j) * (B0 @ D.blocks @ B0) + 0.5 * (1 - 1j) * D.blocks)
+    return _rotate(D, B, 0.5 * (1 + 1j))
 
 
-def inverse_wick(D_sigma: FieldOperator, B: FieldOperator) -> FieldOperator:
+def inverse_wick(D_sigma: FieldOperator, B: np.ndarray) -> FieldOperator:
     """D = (1-i)/2 * B^{-1} D_sigma B + (1+i)/2 * D_sigma; exact inverse."""
-    B0 = _involution(B)
-    blocks = D_sigma.blocks
-    return FieldOperator(D_sigma.spec, 0.5 * (1 - 1j) * (B0 @ blocks @ B0) + 0.5 * (1 + 1j) * blocks)
-
-
-def rotated_gammas(g: GammaSet, Bblk: np.ndarray) -> list[np.ndarray]:
-    """gamma^mu_sigma = (1+i)/2 B gamma^mu B^{-1} + (1-i)/2 gamma^mu (raised index)."""
-    out = []
-    Binv = np.linalg.inv(Bblk)
-    for mu in range(g.sig.n):
-        gamma_up = g.sig.eta(mu + 1) * g.gammas[mu]
-        out.append(0.5 * (1 + 1j) * (Bblk @ gamma_up @ Binv) + 0.5 * (1 - 1j) * gamma_up)
-    return out
-
-
-def plane_wave_block(spec: LatticeSpec, gammas_up: list[np.ndarray], modes: tuple) -> np.ndarray:
-    """Spinor block of the free Dirac operator on the plane wave exp(i k.x).
-
-    modes are integers k_mu in [0, N); the centered difference acts as
-    multiplication by i*sin(2 pi k_mu / N)/h.
-    """
-    N = spec.sites_per_dim
-    h = spec.spacing
-    out = np.zeros((spec.spinor_dim, spec.spinor_dim), dtype=np.complex128)
-    for mu, k in enumerate(modes):
-        out = out + gammas_up[mu] * (np.sin(2.0 * np.pi * k / N) / h)
-    return out
+    return _rotate(D_sigma, B, 0.5 * (1 - 1j))
 
 
 def _max_entry(spec: LatticeSpec, blocks: np.ndarray) -> float:
@@ -200,18 +168,19 @@ def operator_max_diff(A: FieldOperator, B: FieldOperator) -> float:
     return _max_entry(A.spec, A.blocks - B.blocks)
 
 
-def krein_selfadjoint_residual(D: FieldOperator, beta_field: FieldOperator) -> float:
-    """Max-entry residual of beta*D - (beta*D)^dagger."""
-    H = _site_part(beta_field, "Krein form") @ D.blocks
+def krein_selfadjoint_residual(D: FieldOperator, beta: np.ndarray) -> float:
+    """Max-entry residual of beta*D - (beta*D)^dagger for the site block beta."""
+    H = _site_block(D.spec, beta, "Krein form") @ D.blocks
     H_adj = H.conj().swapaxes(-1, -2)
     H_adj[1:] *= -1  # d_mu is real and antisymmetric
     return _max_entry(D.spec, H - H_adj)
 
 
-def anticommutation_residual(D: FieldOperator, C: AntilinearOp) -> float:
-    """Max-entry residual of {D, C} for antilinear C = (m, conj), m acting
-    site by site; d_mu is real, so conj(D) has the conjugate blocks."""
-    return _max_entry(D.spec, D.blocks @ C.m + C.m @ D.blocks.conj())
+def anticommutation_residual(D: FieldOperator, C: np.ndarray) -> float:
+    """Max-entry residual of {D, C} for the antilinear psi -> C conj(psi),
+    C a site block; d_mu is real, so conj(D) has the conjugate blocks."""
+    C = _site_block(D.spec, C, "charge conjugation")
+    return _max_entry(D.spec, D.blocks @ C + C @ D.blocks.conj())
 
 
 SORT_TOL = 1e-9  # relative to the largest |eigenvalue|
@@ -279,11 +248,10 @@ def export_coo_json(D: FieldOperator) -> dict:
 
 
 def flat_dirac_package(sig: Signature, sites: int, spacing: float = 1.0):
-    """Convenience bundle: lattice, gammas, D, field-level beta."""
+    """Convenience bundle: lattice, gammas and D; the Krein form is g.beta."""
     spec = LatticeSpec(sig, sites, spacing)
     g = build_gammas(sig)
-    D = build_flat_dirac(spec, g)
-    return spec, g, D, _site_operator(spec, g.beta)
+    return spec, g, build_flat_dirac(spec, g)
 
 
 def wick_rotation(sig: Signature, sites: int, spacing: float = 1.0, to: str = "antilorentz"):
@@ -295,7 +263,7 @@ def wick_rotation(sig: Signature, sites: int, spacing: float = 1.0, to: str = "a
     """
     if sig.q != 0:
         raise ValueError("the wick verb rotates a Euclidean (q=0) lattice operator")
-    spec, g, D, _ = flat_dirac_package(sig, sites, spacing)
+    spec, g, D = flat_dirac_package(sig, sites, spacing)
     if to == "antilorentz":
         target = Signature(1, sig.n - 1)
         b = make_sigma_from_vector(Multivector.basis_vector(sig, 1))
@@ -304,14 +272,13 @@ def wick_rotation(sig: Signature, sites: int, spacing: float = 1.0, to: str = "a
         b = make_sigma_from_vector(Multivector.basis_vector(sig, sig.n), graded=True)
     else:
         raise ValueError(f"unknown target {to!r}; choose antilorentz or lorentz")
-    B = build_fundamental_symmetry(spec, g, b)
+    B = build_fundamental_symmetry(g, b)
     D_sigma = wick_rotate_operator(D, B)
-    _, _, D_direct, beta_field_t = flat_dirac_package(target, sites, spacing)
-    C_sigma = AntilinearOp(B.blocks[0] @ g.charge_conjugation[0].m)
+    _, g_t, D_direct = flat_dirac_package(target, sites, spacing)
     residuals = {
         "direct_compare": operator_max_diff(D_sigma, D_direct),
-        "selfadjoint": krein_selfadjoint_residual(D_sigma, beta_field_t),
-        "anticommute": anticommutation_residual(D_sigma, C_sigma),
+        "selfadjoint": krein_selfadjoint_residual(D_sigma, g_t.beta),
+        "anticommute": anticommutation_residual(D_sigma, B @ g.charge_conjugation[0]),
         "roundtrip": operator_max_diff(inverse_wick(D_sigma, B), D),
     }
     return target, D, D_sigma, residuals

@@ -67,8 +67,13 @@ def test_ideal_rejects_non_idempotent_and_non_primitive():
     sig = Signature(1, 3)
     with pytest.raises(ValueError):
         ideal_from_idempotent(Multivector.basis_vector(sig, 1))
-    with pytest.raises(ValueError):
-        ideal_from_idempotent(Multivector.unit(sig))  # rank 4, not primitive
+    with pytest.raises(ValueError, match=r"rank 4 != 1"):
+        ideal_from_idempotent(Multivector.unit(sig))  # not primitive
+    half = 0.5 * (Multivector.unit(sig) + Multivector.basis_vector(sig, 1))
+    with pytest.raises(ValueError, match=r"rank 2 != 1"):
+        ideal_from_idempotent(half)
+    with pytest.raises(ValueError, match=r"rank 0 != 1"):
+        ideal_from_idempotent(0.0 * half)
 
 
 def test_degenerate_witness_zero_gram():

@@ -73,9 +73,17 @@ def test_cone_examples(capsys):
     assert code == 0 and doc["component"] == "past"
 
 
+def test_cone_accepts_a_negative_first_component(capsys):
+    for argv in (["--v", "-2,0.5,0,0"], ["--v=-2,0.5,0,0"]):
+        code, doc, _ = run_json(capsys, "cone", "--p", "1", "--q", "3", *argv)
+        assert code == 0 and doc["v"] == [-2.0, 0.5, 0.0, 0.0] and doc["component"] == "past"
+    code, out, err = run_cli(capsys, "cone", "--p", "1", "--q", "3", "--v", "-1,0")
+    assert code == 2 and out == "" and "expected 4 components" in err
+
+
 def test_cone_bad_vector_is_exit_2(capsys):
     code, out, err = run_cli(capsys, "cone", "--p", "1", "--q", "3", "--v", "1,0")
-    assert code == 2 and out == "" and err
+    assert code == 2 and out == "" and err == "error: expected 4 components, got 2\n"
 
 
 @pytest.mark.parametrize("scale", ["1e-200", "1e-160", "1e200"])
