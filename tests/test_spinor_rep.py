@@ -16,6 +16,7 @@ from krein_clifford.spinor_rep import (
     MAX_N,
     GammaSet,
     RepresentationError,
+    _euclidean_generators,
     antilinear_adjoint,
     build_charge_conjugation,
     build_gammas,
@@ -228,6 +229,55 @@ def test_build_gammas_refuses_above_cap():
     assert build_gammas(Signature(MAX_N - 1, 1)).dim == 256
     with pytest.raises(RepresentationError):
         build_gammas(Signature(MAX_N + 2, 0))
+
+
+def test_ladder_is_built_once_per_n():
+    _euclidean_generators.cache_clear()
+    gsets = [build_gammas(Signature(p, 6 - p)) for p in range(7)]
+    info = _euclidean_generators.cache_info()
+    assert (info.misses, info.hits) == (1, 6)
+    assert gsets[6].gammas[0] is gsets[1].gammas[0]
+
+
+def test_cached_ladder_and_gammas_are_read_only():
+    for m in _euclidean_generators(4):
+        with pytest.raises(ValueError):
+            m[0, 0] = 2.0
+    for m in build_gammas(Signature(1, 3)).gammas:
+        with pytest.raises(ValueError):
+            m[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            m *= 2.0
+
+
+# cone (1,3) shares the n = 4 ladder with wick (4,0) and cone (7,1) the
+# n = 8 ladder with gammas (5,3) and ko-table n = 8
+_CACHE_ORDER_RUNS = [
+    ("cone", "--p", "1", "--q", "3", "--v", "2,0.5,0,0"),
+    ("cone", "--p", "7", "--q", "1", "--v", "0.5,0,0,0,0,0,0,2"),
+    ("wick", "--p", "4", "--q", "0", "--sites", "3", "--to", "lorentz"),
+    ("cone", "--p", "1", "--q", "3", "--v", "2,0.5,0,0"),
+    ("cone", "--p", "7", "--q", "1", "--v", "0.5,0,0,0,0,0,0,2"),
+    ("gammas", "--p", "5", "--q", "3"),
+    ("ko-table", "--case", "lorentz", "--n", "4,8"),
+]
+
+
+def test_output_does_not_depend_on_the_ladder_cache(capsys):
+    from krein_clifford.cli import main
+
+    def stdout(argv):
+        assert main(["--format", "json", *argv]) == 0
+        return capsys.readouterr().out
+
+    cold = {}
+    for argv in _CACHE_ORDER_RUNS:
+        _euclidean_generators.cache_clear()
+        cold[argv] = stdout(argv)
+    for order in (_CACHE_ORDER_RUNS, _CACHE_ORDER_RUNS[::-1]):
+        _euclidean_generators.cache_clear()
+        for argv in order:
+            assert stdout(argv) == cold[argv], argv
 
 
 @pytest.mark.parametrize("case", CASES)
