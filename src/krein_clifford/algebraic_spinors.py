@@ -2,9 +2,10 @@
 
 Minimal left ideals S_e = Cl(V)e of primitive idempotents carry the
 restriction of the sigma-product, which is either identically zero
-(when e*e^{x_sigma} = 0) or a sigma-compatible Krein product, in which
+(when g = e*e^{x_sigma} = 0) or a sigma-compatible Krein product, in which
 case the ideal is generated by a unique sigma-self-adjoint primitive
-idempotent f.  For Euclidean sigma the norm
+idempotent f = e^{x_sigma} e_I e / (2^(n/2) g_I S[I, I]), with I the blade
+of largest |g_I| and S the blade sign table.  For Euclidean sigma the norm
 
     ||a||_{inf,sigma} = sup { ||ab||_sigma : ||b||_sigma = 1 }
 
@@ -32,6 +33,7 @@ from .clifford_core import (
 from .spinor_rep import build_gammas, positive_sigma_product, represent
 
 SPAN_TOL = 1e-10
+ISOTROPY_TOL = 1e-12  # max |coefficient| of e e^{x_sigma} read as zero
 
 
 class DegenerateIdealError(ValueError):
@@ -127,8 +129,7 @@ def restricted_sigma_product(
 
 def is_isotropic_ideal(ideal: IdempotentIdeal, sigma: AdmissibleRealStructure) -> bool:
     """True iff e * e^{x_sigma} = 0 (the sigma-product vanishes on S_e)."""
-    prod = ideal.e * sigma.sigma_cross(ideal.e)
-    return prod.norm_max() <= 1e-12
+    return (ideal.e * sigma.sigma_cross(ideal.e)).norm_max() <= ISOTROPY_TOL
 
 
 def canonical_selfadjoint_idempotent(
@@ -136,38 +137,20 @@ def canonical_selfadjoint_idempotent(
 ) -> Multivector:
     """The unique primitive idempotent f with f^{x_sigma} = f and S_f = S_e.
 
-    Following the construction: with p = L_e acting on S_e, the image of
-    p^x (adjoint for the restricted sigma-product) is a non-isotropic
-    line Cv; the orthogonal projection q onto it is q(psi) = eps(v,psi)v,
-    and f = L^{-1}(q) = q(e).
+    With rho(e) = u w^dagger and M the sigma-compatible form, every e^{x_sigma}
+    e_I e is a multiple of f = M^-1 w w^dagger / (w^dagger M^-1 w) whose trace is
+    tau(e_I g) = g_I S[I, I] for g = e e^{x_sigma}; I is the blade of largest
+    |g_I|.  g = 0 is the isotropic case, where no f exists.
     """
-    if is_isotropic_ideal(ideal, sigma):
+    sig, e = ideal.sig, ideal.e
+    e_x = sigma.sigma_cross(e)
+    g = e * e_x
+    if g.norm_max() <= ISOTROPY_TOL:
         raise DegenerateIdealError("e*e^{x_sigma} = 0: the sigma-product vanishes on S_e")
-    sig = ideal.sig
-    G, _ = restricted_sigma_product(ideal, sigma)
-    basis_mat = ideal.coordinate_matrix()  # blade coords, columns = basis
-    coords = np.linalg.pinv(basis_mat)
-
-    def to_coords(x: Multivector) -> np.ndarray:
-        return coords @ x.dense()
-
-    def from_coords(c: np.ndarray) -> Multivector:
-        return Multivector.from_dense(sig, basis_mat @ c, tol=1e-13)
-
-    # p = L_e in the ideal basis
-    p = np.column_stack([to_coords(ideal.e * b) for b in ideal.ideal_basis])
-    p_adj = np.linalg.solve(G, p.conj().T @ G)
-    # im(p_adj) is one-dimensional; take the dominant singular direction
-    u, s, _ = np.linalg.svd(p_adj)
-    v = u[:, 0]
-    vv = (v.conj() @ G @ v).real
-    if abs(vv) < 1e-12:
-        raise DegenerateIdealError("projection line is isotropic")
-    eps = 1.0 if vv > 0 else -1.0
-    v = v / np.sqrt(abs(vv))
-    q = eps * np.outer(v, v.conj() @ G)
-    f = from_coords(q @ to_coords(ideal.e))
-    return f
+    I = max(g.coeffs, key=lambda k: abs(g[k]))
+    denom = (1 << (sig.n // 2)) * g[I] * sign_table(sig.p, sig.n)[I, I]
+    x = e_x * Multivector(sig, {I: 1.0}) * e
+    return Multivector.from_dense(sig, x.dense() / denom, tol=1e-13)
 
 
 def cstar_norm(sigma: AdmissibleRealStructure, a: Multivector) -> float:
@@ -228,12 +211,8 @@ def euclidean_isomorphism(
     return u * a * u_inv
 
 
-def span_equal(a: IdempotentIdeal, b: IdempotentIdeal, tol: float = SPAN_TOL) -> bool:
+def span_equal(a: IdempotentIdeal, b: IdempotentIdeal) -> bool:
     """Equality of ideal spans via the rank of the stacked coordinates."""
     ma, mb = a.coordinate_matrix(), b.coordinate_matrix()
-    stacked = np.column_stack([ma, mb])
-    return (
-        np.linalg.matrix_rank(stacked, tol=tol)
-        == np.linalg.matrix_rank(ma, tol=tol)
-        == np.linalg.matrix_rank(mb, tol=tol)
-    )
+    ranks = {np.linalg.matrix_rank(m, tol=SPAN_TOL) for m in (ma, mb, np.column_stack([ma, mb]))}
+    return len(ranks) == 1

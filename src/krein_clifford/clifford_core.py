@@ -19,6 +19,7 @@ from ._kernels import gp_dense, sign_table
 PRUNE_TOL = 0.0  # coefficients equal to exact zero are dropped; NaN and inf are refused
 DEFINITENESS_TOL = 1e-9
 HERMITICITY_TOL = 1e-10
+ADMISSIBLE_TOL = 1e-10  # make_real_structure's admissibility and group checks
 
 
 class SignatureMismatch(ValueError):
@@ -289,7 +290,7 @@ class AdmissibleRealStructure:
         return self.apply(a.reversal())
 
 
-def make_real_structure(b_raw: Multivector, tol: float = 1e-10) -> AdmissibleRealStructure:
+def make_real_structure(b_raw: Multivector) -> AdmissibleRealStructure:
     """Normalize a Clifford-group element into an admissible real structure.
 
     Requires conj(b_raw) proportional to b_raw by a phase; the returned b
@@ -304,23 +305,23 @@ def make_real_structure(b_raw: Multivector, tol: float = 1e-10) -> AdmissibleRea
     # admissibility: conj(b) = e^{i theta} b
     kmax = max(b_raw.coeffs, key=lambda k: abs(b_raw[k]))
     phase2 = (b_raw[kmax].conjugate() / b_raw[kmax])
-    if abs((b_raw.conjugate() - phase2 * b_raw).norm_max()) > tol * scale:
+    if abs((b_raw.conjugate() - phase2 * b_raw).norm_max()) > ADMISSIBLE_TOL * scale:
         raise NotAdmissible("conj(b) is not proportional to b by a phase")
 
     # rotate to a real representative; two square roots, fix the sign below
     half = np.sqrt(phase2)
     b1 = complex(half) * b_raw
-    if not b1.is_real(tol * scale):
+    if not b1.is_real(ADMISSIBLE_TOL * scale):
         b1 = complex(-half) * b_raw
-    if not b1.is_real(tol * scale):
+    if not b1.is_real(ADMISSIBLE_TOL * scale):
         raise NotAdmissible("phase normalization failed")
     b1 = Multivector(sig, {k: v.real for k, v in b1.coeffs.items()})
 
     sq = b1 * b1
-    if not sq.is_scalar(tol * scale * scale):
+    if not sq.is_scalar(ADMISSIBLE_TOL * scale * scale):
         raise NotInCliffordGroup("b * conj(b) is not a scalar")
-    lam_val = sq.scalar_value(tol * scale * scale).real
-    if abs(lam_val) <= tol:
+    lam_val = sq.scalar_value(ADMISSIBLE_TOL * scale * scale).real
+    if abs(lam_val) <= ADMISSIBLE_TOL:
         raise NotInCliffordGroup("b is not invertible")
     b = (1.0 / np.sqrt(abs(lam_val))) * b1
 
@@ -338,9 +339,9 @@ def make_real_structure(b_raw: Multivector, tol: float = 1e-10) -> AdmissibleRea
             raise NotInCliffordGroup(f"Ad_b does not preserve grade 1 on e_{i}")
 
     bt = b.reversal()
-    if bt.approx_eq(b, tol):
+    if bt.approx_eq(b, ADMISSIBLE_TOL):
         alpha = 1
-    elif bt.approx_eq(-b, tol):
+    elif bt.approx_eq(-b, ADMISSIBLE_TOL):
         alpha = -1
     else:
         raise NotInCliffordGroup("b is not proportional to its reversal")
@@ -455,12 +456,12 @@ class FormSignatureReport:
         return self.classification in ("positive_definite", "negative_definite")
 
 
-def hermitian_inertia(H: np.ndarray, tol: float = DEFINITENESS_TOL) -> FormSignatureReport:
-    """Inertia of a hermitian matrix; eigenvalues below tol*scale count as zero."""
+def hermitian_inertia(H: np.ndarray) -> FormSignatureReport:
+    """Inertia of a hermitian matrix; eigenvalues below DEFINITENESS_TOL*scale count as zero."""
     H = 0.5 * (H + H.conj().T)
     w = np.linalg.eigvalsh(H)
     scale = max(abs(w).max(initial=0.0), 1.0)
-    cut = tol * scale
+    cut = DEFINITENESS_TOL * scale
     n_plus = int((w > cut).sum())
     n_minus = int((w < -cut).sum())
     n_zero = len(w) - n_plus - n_minus

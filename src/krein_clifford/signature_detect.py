@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford_core import (
-    DEFINITENESS_TOL,
     HERMITICITY_TOL,
     FormSignatureReport,
     Multivector,
@@ -57,14 +56,14 @@ class ConeVerdict:
         }
 
 
-def classify_hermitian(H: np.ndarray, tol: float = DEFINITENESS_TOL) -> FormSignatureReport:
+def classify_hermitian(H: np.ndarray) -> FormSignatureReport:
     """Inertia/classification of a hermitian matrix (symmetrized first)."""
     H = np.asarray(H, dtype=np.complex128)
     dev = np.abs(H - H.conj().T).max()
     scale = max(np.abs(H).max(), 1.0)
     if dev > HERMITICITY_TOL * scale:
         raise NonHermitianError(f"matrix is not hermitian (deviation {dev:.3e})")
-    return hermitian_inertia(0.5 * (H + H.conj().T), tol=tol)
+    return hermitian_inertia(H)
 
 
 def _case_of(sig: Signature) -> str:
@@ -137,6 +136,8 @@ def cone_test(sig: Signature, g: GammaSet, beta: np.ndarray, v) -> ConeVerdict:
     The future component is calibrated so that the canonical timelike basis
     vector (e_1 anti-Lorentz, e_n Lorentz) is future-directed.
     """
+    if g.sig != sig:
+        raise ValueError(f"signature mismatch: {sig} vs gamma set {g.sig}")
     _case_of(sig)  # refuses a signature that is neither Lorentz nor anti-Lorentz
     x = _unit_coords(sig, v)
     qx = float(x[: sig.p] @ x[: sig.p] - x[sig.p:] @ x[sig.p:])  # Q(x) = sum_i eta_i x_i^2

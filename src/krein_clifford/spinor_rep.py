@@ -42,6 +42,9 @@ _SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 
 MAX_N = 16  # spinor dimension 2^(n/2) <= 256 keeps dense matrices desk-scale
+COMMUTANT_TOL = 1e-10  # relative singular-value cut for the commutant's null space
+SIGN_TOL = 1e-9  # how far a matrix read as a scalar, or a value as a unit sign, may stray
+ZERO_DIAGONAL_TOL = 1e-12  # below it _fix_matrix_sign falls back to the largest entry
 
 
 class RepresentationError(ValueError):
@@ -135,7 +138,7 @@ def chirality(g: GammaSet) -> np.ndarray:
     return phase * represent(g, volume_element(sig))
 
 
-def commutant_is_scalar(g: GammaSet, tol: float = 1e-10) -> bool:
+def commutant_is_scalar(g: GammaSet) -> bool:
     """Irreducibility certificate: only scalars commute with all generators."""
     N = g.dim
     rows = []
@@ -144,15 +147,15 @@ def commutant_is_scalar(g: GammaSet, tol: float = 1e-10) -> bool:
         rows.append(np.kron(eye, gam) - np.kron(gam.T, eye))
     A = np.vstack(rows)
     s = np.linalg.svd(A, compute_uv=False)
-    null_dim = int((s < tol * s[0]).sum())
+    null_dim = int((s < COMMUTANT_TOL * s[0]).sum())
     return null_dim == 1
 
 
-def _fix_matrix_sign(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _fix_matrix_sign(m: np.ndarray) -> np.ndarray:
     """Make the largest-magnitude diagonal entry positive; fall back to the
     first entry of largest magnitude when the diagonal vanishes."""
     d = np.real(np.diag(m))
-    if np.abs(d).max() > tol:
+    if np.abs(d).max() > ZERO_DIAGONAL_TOL:
         sign = 1 if d[np.abs(d).argmax()] > 0 else -1
     else:
         flat = m.ravel()
@@ -164,21 +167,20 @@ def _fix_matrix_sign(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 def build_krein_form(g: GammaSet) -> np.ndarray:
     """Compatible Krein form: the hermitian involutive matrix beta with
     beta gamma_i beta^-1 = gamma_i^dagger, a product of the hermitian (or
-    antihermitian) generators, hermitian-normalized."""
+    antihermitian) generators.  The gammas are unitary, so the product is
+    already involutive and needs no rescaling (checked, not assumed)."""
     p, n, N = g.sig.p, g.sig.n, g.dim
     # the first p gammas when p is odd, the last q otherwise
     cand = _gamma_product(g, (1 << p) - 1 if p % 2 else (1 << n) - (1 << p))
     if np.abs(cand + cand.conj().T).max() < 1e-10:
         cand = 1j * cand
-    scale = np.real(np.trace(cand @ cand)) / N
-    if np.abs(cand - cand.conj().T).max() > 1e-10 or scale <= 0:
-        raise RepresentationError("no hermitian involutive Krein form found")
-    cand = cand / np.sqrt(scale)
-    if np.abs(cand @ cand - np.eye(N)).max() > 1e-9 or any(
-        np.abs(cand @ gam.conj().T - gam @ cand).max() > 1e-9 for gam in g.gammas
+    if (
+        np.abs(cand - cand.conj().T).max() > 1e-10
+        or np.abs(cand @ cand - np.eye(N)).max() > 1e-9
+        or any(np.abs(cand @ gam.conj().T - gam @ cand).max() > 1e-9 for gam in g.gammas)
     ):
         raise RepresentationError("no hermitian involutive Krein form found")
-    return _fix_matrix_sign(cand)
+    return _fix_matrix_sign(cand + 0.0)  # -0.0 -> 0.0 in the printed beta
 
 
 def krein_adjoint(beta: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -191,16 +193,16 @@ def antilinear_adjoint(beta: np.ndarray, C: np.ndarray) -> np.ndarray:
     return np.linalg.solve(beta, C.T @ beta.conj())
 
 
-def _scalar_of(m: np.ndarray, what: str, tol: float = 1e-9) -> complex:
+def _scalar_of(m: np.ndarray, what: str) -> complex:
     N = m.shape[0]
     s = np.trace(m) / N
-    if np.abs(m - s * np.eye(N)).max() > tol * max(abs(s), 1.0):
+    if np.abs(m - s * np.eye(N)).max() > SIGN_TOL * max(abs(s), 1.0):
         raise RepresentationError(f"{what} is not scalar")
     return s
 
 
-def _sign_of(val: complex, what: str, tol: float = 1e-9) -> int:
-    if abs(val.imag) > tol or abs(abs(val.real) - 1.0) > tol:
+def _sign_of(val: complex, what: str) -> int:
+    if abs(val.imag) > SIGN_TOL or abs(abs(val.real) - 1.0) > SIGN_TOL:
         raise RepresentationError(f"{what} = {val} is not a unit sign")
     return 1 if val.real > 0 else -1
 

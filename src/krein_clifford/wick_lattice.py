@@ -34,7 +34,6 @@ from .clifford_core import (
     AdmissibleRealStructure,
     Multivector,
     Signature,
-    make_real_structure,
     make_sigma_from_vector,
 )
 from .spinor_rep import GammaSet, build_gammas, represent
@@ -124,10 +123,8 @@ def build_flat_dirac(spec: LatticeSpec, g: GammaSet) -> FieldOperator:
     return FieldOperator(spec, np.stack([np.zeros_like(up[0]), *up]))
 
 
-def build_fundamental_symmetry(g: GammaSet, b) -> np.ndarray:
+def build_fundamental_symmetry(g: GammaSet, b: AdmissibleRealStructure) -> np.ndarray:
     """The site block B = rho(b); requires b normalized so that B^2 = I."""
-    if not isinstance(b, AdmissibleRealStructure):
-        b = make_real_structure(b)
     B = represent(g, b.b)
     sq = B @ B
     if np.abs(sq + np.eye(g.dim)).max() <= 1e-10:

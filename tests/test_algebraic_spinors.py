@@ -32,7 +32,12 @@ from krein_clifford.spinor_rep import build_gammas, represent
 
 from conftest import rand_mv
 
-SIGS = [Signature(2, 0), Signature(1, 1), Signature(1, 3), Signature(3, 1), Signature(2, 2)]
+# (0,2) and (0,4) take the w_1 = i e_1 branch of build_primitive_idempotent
+SIGS = [
+    Signature(2, 0), Signature(1, 1), Signature(1, 3), Signature(3, 1), Signature(2, 2),
+    Signature(0, 2), Signature(0, 4),
+]
+SMALL_SIGS = [Signature(p, n - p) for n in (2, 4, 6) for p in range(n + 1)]
 
 
 def _boosted_structure(sig, t=0.3):
@@ -101,15 +106,69 @@ def test_idempotent_dichotomy(sig):
             assert rep.n_zero == 0
 
 
-@pytest.mark.parametrize("sig", SIGS, ids=lambda s: f"{s.p}{s.q}")
-def test_canonical_selfadjoint_idempotent(sig):
-    sigma = euclidean_structure(sig)
-    ideal = build_primitive_idempotent(sig)
-    f = canonical_selfadjoint_idempotent(ideal, sigma)
+def _assert_selfadjoint_generator(ideal, sigma, f):
+    sig = ideal.sig
     assert (sigma.sigma_cross(f) - f).norm_max() < 1e-10
     assert (f * f - f).norm_max() < 1e-10
     assert abs(f.normalized_trace() - 2.0 ** (-sig.n / 2)) < 1e-10
     assert span_equal(ideal, ideal_from_idempotent(f))
+
+
+# (1,1) with sigma = c: g = e e^{x_sigma} = e_1 + e_2 has no scalar part,
+# so f is read off a blade other than the unit
+TRACE_FREE_G = pytest.param(
+    Signature(1, 1), {0: 0.5, 1: 0.5, 2: 0.5, 3: -0.5}, AdmissibleRealStructure.canonical,
+    id="11-trace-free-g",
+)
+
+
+@pytest.mark.parametrize(
+    "sig,e_coeffs,make_sigma",
+    [pytest.param(s, None, euclidean_structure, id=f"{s.p}{s.q}") for s in SIGS] + [TRACE_FREE_G],
+)
+def test_canonical_selfadjoint_idempotent(sig, e_coeffs, make_sigma):
+    sigma = make_sigma(sig)
+    if e_coeffs is None:
+        ideal = build_primitive_idempotent(sig)
+    else:
+        ideal = ideal_from_idempotent(Multivector(sig, e_coeffs))
+        assert (ideal.e * sigma.sigma_cross(ideal.e)).normalized_trace() == 0
+    f = canonical_selfadjoint_idempotent(ideal, sigma)
+    _assert_selfadjoint_generator(ideal, sigma, f)
+
+
+def _rotor(sig, i, j, t):
+    """(exp(t e_ij), exp(-t e_ij)) for the plane of generators i < j."""
+    B = Multivector.blade(sig, [i, j])
+    one = Multivector.unit(sig)
+    c, s = (np.cos(t), np.sin(t)) if sig.eta(i) * sig.eta(j) > 0 else (np.cosh(t), np.sinh(t))
+    return c * one + s * B, c * one - s * B
+
+
+@pytest.mark.parametrize("sig", SMALL_SIGS, ids=lambda s: f"{s.p}{s.q}")
+def test_canonical_idempotent_of_conjugated_idempotents(sig, rng):
+    # u e u^-1 is primitive for every invertible u; f must have every
+    # defining property for each real structure that makes S_e non-isotropic
+    e = build_primitive_idempotent(sig).e
+    sigmas = [AdmissibleRealStructure.canonical(sig), euclidean_structure(sig)] + [
+        make_real_structure(Multivector.basis_vector(sig, i)) for i in range(1, sig.n + 1)
+    ]
+    checked = 0
+    for _ in range(3):
+        u, u_inv = Multivector.unit(sig), Multivector.unit(sig)
+        for _ in range(2):
+            i, j = sorted(rng.choice(sig.n, 2, replace=False) + 1)
+            r, r_inv = _rotor(sig, i, j, rng.uniform(-1.0, 1.0))
+            u, u_inv = u * r, r_inv * u_inv
+        ideal = ideal_from_idempotent(u * e * u_inv)
+        for sigma in sigmas:
+            if is_isotropic_ideal(ideal, sigma):
+                with pytest.raises(DegenerateIdealError):
+                    canonical_selfadjoint_idempotent(ideal, sigma)
+                continue
+            _assert_selfadjoint_generator(ideal, sigma, canonical_selfadjoint_idempotent(ideal, sigma))
+            checked += 1
+    assert checked >= 3  # the Euclidean structure is never isotropic
 
 
 def test_canonical_idempotent_fixed_point():

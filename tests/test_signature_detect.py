@@ -45,6 +45,18 @@ def test_cone_test_rejects_non_lorentz_signature():
         cone_test(sig, g, beta, [1.0, 0.0, 0.0, 0.0])
 
 
+def test_cone_test_refuses_gammas_of_another_signature():
+    # the (3,1) gammas would call e_1 of (1,3) spacelike and fail to
+    # calibrate the future cone; the mismatch is refused up front instead
+    sig = Signature(1, 3)
+    g, beta = _setup(Signature(3, 1))
+    for v in ([1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]):
+        with pytest.raises(ValueError, match=r"signature mismatch") as err:
+            cone_test(sig, g, beta, v)
+        assert not isinstance(err.value, SignatureClassError)
+    assert cone_membership_oracle(sig, [1.0, 0.0, 0.0, 0.0]) == "timelike"
+
+
 def test_cone_examples_antilorentz():
     sig = Signature(1, 3)
     g, beta = _setup(sig)

@@ -225,6 +225,20 @@ def test_krein_form_rejects_non_clifford_generators():
         build_krein_form(GammaSet(Signature(1, 1), (_X, 2 * _Y)))
 
 
+def test_krein_form_is_not_rescaled():
+    # 2X and 2iY anticommute but square to +/-4, so they represent no
+    # Clifford algebra; the candidate 2X is hermitian and intertwines
+    # them but is not involutive, and it is refused, not rescaled to X
+    with pytest.raises(RepresentationError, match="no hermitian involutive"):
+        build_krein_form(GammaSet(Signature(1, 1), (2 * _X, 2j * _Y)))
+
+
+def test_krein_form_keeps_positive_zeros():
+    # `gammas --p 0 --q 2` prints beta; its zero entries stay +0.0
+    beta = build_gammas(Signature(0, 2)).beta
+    assert beta.tobytes() == np.diag([1.0, -1.0]).astype(np.complex128).tobytes()
+
+
 def test_build_gammas_refuses_above_cap():
     assert build_gammas(Signature(MAX_N - 1, 1)).dim == 256
     with pytest.raises(RepresentationError):
