@@ -1,11 +1,14 @@
 """Algebraic spinors and the C*-structure of Euclidean real structures.
 
-Minimal left ideals S_e = Cl(V)e of primitive idempotents carry the
-restriction of the sigma-product, which is either identically zero
-(when g = e*e^{x_sigma} = 0) or a sigma-compatible Krein product, in which
-case the ideal is generated by a unique sigma-self-adjoint primitive
-idempotent f = e^{x_sigma} e_I e / (2^(n/2) g_I S[I, I]), with I the blade
-of largest |g_I| and S the blade sign table.  For Euclidean sigma the norm
+Minimal left ideals S_e = Cl(V)e of primitive idempotents are carried as
+e and a matrix of blade coordinates of a basis, and are compared by
+products: S_a = S_b iff b a = b and a b = a.  S_e carries the restriction
+of the sigma-product, which is either identically zero (when
+g = e*e^{x_sigma} = 0: DegenerateIdealError) or a sigma-compatible Krein
+product, in which case the ideal is generated by a unique sigma-self-adjoint
+primitive idempotent f = e^{x_sigma} e_I e / (2^(n/2) g_I S[I, I]), with I
+the blade of largest |g_I| and S the blade sign table.  For Euclidean sigma
+the norm
 
     ||a||_{inf,sigma} = sup { ||ab||_sigma : ||b||_sigma = 1 }
 
@@ -32,7 +35,7 @@ from .clifford_core import (
 )
 from .spinor_rep import build_gammas, positive_sigma_product, represent
 
-SPAN_TOL = 1e-10
+SPAN_TOL = 1e-10  # max |coefficient| of b a - b read as zero
 ISOTROPY_TOL = 1e-12  # max |coefficient| of e e^{x_sigma} read as zero
 
 
@@ -43,7 +46,7 @@ class DegenerateIdealError(ValueError):
 @dataclass(frozen=True, eq=False)
 class IdempotentIdeal:
     e: Multivector
-    ideal_basis: tuple[Multivector, ...]
+    basis: np.ndarray
 
     @property
     def sig(self) -> Signature:
@@ -51,15 +54,12 @@ class IdempotentIdeal:
 
     @property
     def dim(self) -> int:
-        return len(self.ideal_basis)
-
-    def coordinate_matrix(self) -> np.ndarray:
-        """Columns are the dense blade coordinates of the basis elements."""
-        return np.column_stack([b.dense() for b in self.ideal_basis])
+        return self.basis.shape[1]
 
 
 def ideal_from_idempotent(e: Multivector) -> IdempotentIdeal:
-    """Left ideal Cl(V)e of a primitive idempotent, with a deterministic basis."""
+    """Left ideal Cl(V)e of a primitive idempotent.  Column k of its read-only
+    basis is e_{m_k} e for the k-th mask m_k independent of the earlier ones."""
     sig = e.sig
     S = sign_table(sig.p, sig.n)  # refuses n above the table cap up front
     if not (e * e).approx_eq(e, tol=1e-10):
@@ -69,27 +69,28 @@ def ideal_from_idempotent(e: Multivector) -> IdempotentIdeal:
     rank = round((1 << (sig.n // 2)) * e.normalized_trace().real)
     if rank != 1:
         raise ValueError(f"e is not primitive (rank {rank} != 1)")
-    target = 1 << (sig.n // 2)
-    basis: list[Multivector] = []
-    ortho: list[np.ndarray] = []
-    masks = np.arange(1 << sig.n)
+    size, target = 1 << sig.n, 1 << (sig.n // 2)
+    basis = np.zeros((size, target), dtype=np.complex128)
+    ortho = np.zeros((target, size), dtype=np.complex128)  # conjugated orthonormal rows
+    masks = np.arange(size)
     e_dense = e.dense()
+    k = 0
     for mask in masks:
         # e_mask e = sum_J e_J S[mask, J] e_{mask^J}
-        cand = np.zeros(1 << sig.n, dtype=np.complex128)
+        cand = np.zeros(size, dtype=np.complex128)
         cand[mask ^ masks] = S[mask] * e_dense
-        vec = cand
-        for u in ortho:
-            vec = vec - (u.conj() @ vec) * u
+        vec = cand - (ortho[:k] @ cand) @ ortho[:k].conj()
         norm = np.linalg.norm(vec)
         if norm > 1e-9:
-            basis.append(Multivector.from_dense(sig, cand))
-            ortho.append(vec / norm)
-            if len(basis) == target:
+            basis[:, k] = cand
+            ortho[k] = vec.conj() / norm
+            k += 1
+            if k == target:
                 break
-    if len(basis) != target:
+    if k != target:
         raise ValueError("ideal has unexpected dimension")
-    return IdempotentIdeal(e, tuple(basis))
+    basis.flags.writeable = False
+    return IdempotentIdeal(e, basis)
 
 
 def build_primitive_idempotent(sig: Signature) -> IdempotentIdeal:
@@ -121,15 +122,10 @@ def restricted_sigma_product(
     The form is antilinear in its first slot, so with X the blade
     coordinates of the basis it is X^H G X for the blade Gram matrix G.
     """
-    X = ideal.coordinate_matrix()
+    X = ideal.basis
     G = X.conj().T @ sigma_product_gram(sigma) @ X
     G = 0.5 * (G + G.conj().T)
     return G, hermitian_inertia(G)
-
-
-def is_isotropic_ideal(ideal: IdempotentIdeal, sigma: AdmissibleRealStructure) -> bool:
-    """True iff e * e^{x_sigma} = 0 (the sigma-product vanishes on S_e)."""
-    return (ideal.e * sigma.sigma_cross(ideal.e)).norm_max() <= ISOTROPY_TOL
 
 
 def canonical_selfadjoint_idempotent(
@@ -212,7 +208,7 @@ def euclidean_isomorphism(
 
 
 def span_equal(a: IdempotentIdeal, b: IdempotentIdeal) -> bool:
-    """Equality of ideal spans via the rank of the stacked coordinates."""
-    ma, mb = a.coordinate_matrix(), b.coordinate_matrix()
-    ranks = {np.linalg.matrix_rank(m, tol=SPAN_TOL) for m in (ma, mb, np.column_stack([ma, mb]))}
-    return len(ranks) == 1
+    """S_a = S_b, read off two products: x lies in S_a = Cl(V)a exactly
+    when x a = x, so S_b <= S_a iff b a = b, and S_a <= S_b iff a b = a."""
+    ea, eb = a.e, b.e
+    return (eb * ea).approx_eq(eb, SPAN_TOL) and (ea * eb).approx_eq(ea, SPAN_TOL)

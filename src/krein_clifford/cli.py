@@ -163,16 +163,19 @@ def cmd_ideal(args) -> int:
     else:
         ideal = asp.build_primitive_idempotent(sig)
     G, rep = asp.restricted_sigma_product(ideal, sigma)
+    try:
+        f = asp.canonical_selfadjoint_idempotent(ideal, sigma)
+    except asp.DegenerateIdealError:  # g = e e^{x_sigma} = 0: S_e is isotropic
+        f = None
     payload = {
         "status": "ok",
         "sig": [sig.p, sig.q],
         "e": multivector_to_text(ideal.e),
         "gram_inertia": [rep.n_plus, rep.n_minus, rep.n_zero],
         "classification": rep.classification,
-        "isotropic": asp.is_isotropic_ideal(ideal, sigma),
+        "isotropic": f is None,
     }
-    if not payload["isotropic"]:
-        f = asp.canonical_selfadjoint_idempotent(ideal, sigma)
+    if f is not None:
         residuals = {
             "f_selfadjoint": (sigma.sigma_cross(f) - f).norm_max(),
             "f_idempotent": (f * f - f).norm_max(),

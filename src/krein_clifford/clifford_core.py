@@ -308,11 +308,9 @@ def make_real_structure(b_raw: Multivector) -> AdmissibleRealStructure:
     if abs((b_raw.conjugate() - phase2 * b_raw).norm_max()) > ADMISSIBLE_TOL * scale:
         raise NotAdmissible("conj(b) is not proportional to b by a phase")
 
-    # rotate to a real representative; two square roots, fix the sign below
-    half = np.sqrt(phase2)
-    b1 = complex(half) * b_raw
-    if not b1.is_real(ADMISSIBLE_TOL * scale):
-        b1 = complex(-half) * b_raw
+    # rotate to a real representative; either square root of the phase
+    # serves, since the other only negates b, and the sign is fixed below
+    b1 = complex(np.sqrt(phase2)) * b_raw
     if not b1.is_real(ADMISSIBLE_TOL * scale):
         raise NotAdmissible("phase normalization failed")
     b1 = Multivector(sig, {k: v.real for k, v in b1.coeffs.items()})

@@ -51,8 +51,8 @@ class LatticeSpec:
     def __post_init__(self):
         if self.sites_per_dim < 3:
             raise ValueError("need at least 3 sites per dimension for centered differences")
-        if self.spacing <= 0:
-            raise ValueError("spacing must be positive")
+        if not 0 < self.spacing < np.inf:  # False for NaN as well
+            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
         if self.total_dim > MAX_DIM:
             raise ValueError(
                 f"lattice dimension {self.sites_per_dim}^{self.sig.n} * {self.spinor_dim}"

@@ -1,6 +1,8 @@
 """Minimal left ideals, the self-adjoint idempotent construction, and the
 C*-norm, with singular-value oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -14,7 +16,6 @@ from krein_clifford.algebraic_spinors import (
     cstar_norm,
     euclidean_isomorphism,
     ideal_from_idempotent,
-    is_isotropic_ideal,
     restricted_sigma_product,
     rho_operator_norm,
     span_equal,
@@ -64,7 +65,8 @@ def test_primitive_idempotent_construction(sig):
     # trace of a rank-one projector in a 2^{n/2}-dim representation
     assert e.normalized_trace() == pytest.approx(2.0 ** (-sig.n / 2), abs=1e-12)
     # basis elements do lie in the left ideal: x*e = x for x in the basis
-    for x in ideal.ideal_basis:
+    for column in ideal.basis.T:
+        x = Multivector.from_dense(sig, column)
         assert (x * e - x).norm_max() < 1e-12
 
 
@@ -86,7 +88,6 @@ def test_degenerate_witness_zero_gram():
     e = 0.5 * (Multivector.unit(sig) + Multivector.blade(sig, [1, 2]))
     ideal = ideal_from_idempotent(e)
     sigma = AdmissibleRealStructure.canonical(sig)
-    assert is_isotropic_ideal(ideal, sigma)
     G, rep = restricted_sigma_product(ideal, sigma)
     assert np.abs(G).max() <= 1e-12
     assert rep.classification == "degenerate"
@@ -100,7 +101,9 @@ def test_idempotent_dichotomy(sig):
     ideal = build_primitive_idempotent(sig)
     for sigma in (AdmissibleRealStructure.canonical(sig), euclidean_structure(sig)):
         G, rep = restricted_sigma_product(ideal, sigma)
-        if is_isotropic_ideal(ideal, sigma):
+        try:
+            canonical_selfadjoint_idempotent(ideal, sigma)
+        except DegenerateIdealError:
             assert np.abs(G).max() <= 1e-12
         else:
             assert rep.n_zero == 0
@@ -162,11 +165,13 @@ def test_canonical_idempotent_of_conjugated_idempotents(sig, rng):
             u, u_inv = u * r, r_inv * u_inv
         ideal = ideal_from_idempotent(u * e * u_inv)
         for sigma in sigmas:
-            if is_isotropic_ideal(ideal, sigma):
-                with pytest.raises(DegenerateIdealError):
-                    canonical_selfadjoint_idempotent(ideal, sigma)
+            try:
+                f = canonical_selfadjoint_idempotent(ideal, sigma)
+            except DegenerateIdealError:
+                # isotropic exactly when g = e e^{x_sigma} vanishes
+                assert (ideal.e * sigma.sigma_cross(ideal.e)).norm_max() <= 1e-12
                 continue
-            _assert_selfadjoint_generator(ideal, sigma, canonical_selfadjoint_idempotent(ideal, sigma))
+            _assert_selfadjoint_generator(ideal, sigma, f)
             checked += 1
     assert checked >= 3  # the Euclidean structure is never isotropic
 
@@ -179,6 +184,58 @@ def test_canonical_idempotent_fixed_point():
     f = canonical_selfadjoint_idempotent(ideal, sigma)
     f2 = canonical_selfadjoint_idempotent(ideal_from_idempotent(f), sigma)
     assert (f2 - f).norm_max() < 1e-9
+
+
+def _rank_span_equal(a, b):
+    """S_a = S_b by the ranks of the stacked coordinate matrices."""
+    stacked = np.column_stack([a.basis, b.basis])
+    return len({np.linalg.matrix_rank(m, tol=1e-10) for m in (a.basis, b.basis, stacked)}) == 1
+
+
+def _idempotent_family(sig):
+    """The built e; e conjugated by u = 1 + t e_ij; and e + (1-e) a e, which
+    generates the same ideal but is neither e nor sigma-self-adjoint."""
+    e = build_primitive_idempotent(sig).e
+    one = Multivector.unit(sig)
+    family = [e]
+    for i, j in list(itertools.combinations(range(1, sig.n + 1), 2))[:3]:
+        B = Multivector.blade(sig, [i, j])
+        square = (B * B).scalar_value().real
+        for t in (0.3, 1.1):
+            family.append((one + t * B) * e * ((1.0 / (1.0 - t * t * square)) * (one - t * B)))
+    for a in (Multivector.basis_vector(sig, 1), Multivector.basis_vector(sig, sig.n) + 0.7j * Multivector.blade(sig, [1, 2])):
+        family.append(e + (one - e) * a * e)
+    return [ideal_from_idempotent(x) for x in family]
+
+
+@pytest.mark.parametrize("sig", SMALL_SIGS, ids=lambda s: f"{s.p}{s.q}")
+def test_span_equal_matches_rank_oracle(sig):
+    ideals = _idempotent_family(sig)
+    equal = 0
+    for a, b in itertools.combinations_with_replacement(ideals, 2):
+        want = _rank_span_equal(a, b)
+        assert span_equal(a, b) == span_equal(b, a) == want
+        equal += want
+    # each ideal equals itself, and e + (1-e) a e generates the ideal of e
+    assert equal >= len(ideals) + 3
+
+
+@pytest.mark.parametrize("sig", SMALL_SIGS + [Signature(4, 4)], ids=lambda s: f"{s.p}{s.q}")
+def test_ideal_basis_is_first_independent_products(sig):
+    for ideal in _idempotent_family(sig)[::4]:
+        basis = ideal.basis
+        assert not basis.flags.writeable
+        assert basis.shape == (1 << sig.n, ideal.dim)
+        k = 0
+        for m in range(1 << sig.n):
+            x = (Multivector(sig, {m: 1.0}) * ideal.e).dense()
+            found = basis[:, :k]
+            residual = x - found @ np.linalg.lstsq(found, x, rcond=None)[0] if k else x
+            if np.abs(residual).max() > 1e-9:
+                # independent of the earlier columns: it is the next column
+                assert np.array_equal(basis[:, k], x), (m, k)
+                k += 1
+        assert k == ideal.dim
 
 
 def test_span_equal_detects_different_ideals():

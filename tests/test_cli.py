@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from krein_clifford.cli import main
+from krein_clifford.clifford_core import AdmissibleRealStructure
 
 
 def run_cli(capsys, *argv):
@@ -185,6 +186,16 @@ def test_wick_size_errors(capsys):
     assert code == 2  # source must be Euclidean
 
 
+@pytest.mark.parametrize("spacing", ["inf", "nan"])
+def test_wick_refuses_non_finite_spacing(capsys, spacing):
+    argv = ("wick", "--p", "2", "--q", "0", "--sites", "5", "--spacing", spacing)
+    code, out, err = run_cli(capsys, "--format", "json", *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "status": "fail", "error": f"spacing must be positive and finite, got {spacing}"
+    }
+
+
 def test_consecutive_calls_share_no_parser_state(capsys):
     argv = ("wick", "--p", "2", "--q", "0", "--sites", "5")
     assert run_json(capsys, *argv, "--spacing", "0.5")[1]["spacing"] == 0.5
@@ -219,6 +230,23 @@ def test_ideal_canonical(capsys):
     assert all(r <= 1e-10 for r in doc["residuals"].values())
     assert doc["tau_f"][0] == pytest.approx(0.25, abs=1e-10)
     assert abs(doc["tau_f"][1]) <= 1e-12
+
+
+@pytest.mark.parametrize("p,q,b,isotropic,calls", [(3, 3, "e_123", False, 2), (4, 4, "e_1", True, 1)])
+def test_ideal_forms_g_once(capsys, monkeypatch, p, q, b, isotropic, calls):
+    # g = e e^{x_sigma} takes one sigma_cross, and checking f takes one more
+    count = 0
+    sigma_cross = AdmissibleRealStructure.sigma_cross
+
+    def counting(self, a):
+        nonlocal count
+        count += 1
+        return sigma_cross(self, a)
+
+    monkeypatch.setattr(AdmissibleRealStructure, "sigma_cross", counting)
+    code, doc, _ = run_json(capsys, "ideal", "--p", str(p), "--q", str(q), "--b", b)
+    assert code == 0 and doc["isotropic"] is isotropic
+    assert count == calls
 
 
 def test_gammas_payload(capsys):

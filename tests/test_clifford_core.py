@@ -159,6 +159,12 @@ def test_make_real_structure_examples():
     # scaling is stripped
     s4 = make_real_structure(7.0 * Multivector.basis_vector(sig, 1))
     assert (s4.b - s.b).norm_max() < 1e-12
+    # every phase e^{i theta} e_I normalizes to the real blade e_I
+    for indices in ([1], [2], [1, 2], [2, 3], [1, 2, 3], [1, 2, 3, 4]):
+        blade = Multivector.blade(sig, indices)
+        for theta in np.linspace(-np.pi, np.pi, 25):
+            b = make_real_structure(np.exp(1j * theta) * blade).b
+            assert (b - blade).norm_max() < 1e-12, (indices, theta)
 
 
 def test_make_real_structure_rejections():

@@ -83,8 +83,8 @@ def test_restricted_product_matches_pairwise(sig):
     ideal = build_primitive_idempotent(sig)
     for sigma in structures(sig)[:4]:
         G, _ = restricted_sigma_product(ideal, sigma)
-        pairwise = np.array([[sigma_product(sigma, x, y) for y in ideal.ideal_basis]
-                             for x in ideal.ideal_basis])
+        elements = [Multivector.from_dense(sig, column) for column in ideal.basis.T]
+        pairwise = np.array([[sigma_product(sigma, x, y) for y in elements] for x in elements])
         assert np.abs(G - 0.5 * (pairwise + pairwise.conj().T)).max() <= 1e-12
         assert np.abs(pairwise - pairwise.conj().T).max() <= 1e-12
 

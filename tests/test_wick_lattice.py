@@ -91,8 +91,9 @@ def _max_entry(M):
 def test_lattice_spec_validation():
     with pytest.raises(ValueError):
         LatticeSpec(Signature(1, 1), 2)
-    with pytest.raises(ValueError):
-        LatticeSpec(Signature(1, 1), 4, spacing=0.0)
+    for spacing in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="spacing must be positive and finite"):
+            LatticeSpec(Signature(1, 1), 4, spacing=spacing)
     spec = LatticeSpec(Signature(1, 1), 4, spacing=0.5)
     assert spec.n_sites == 16
     assert spec.spinor_dim == 2
