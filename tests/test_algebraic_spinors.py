@@ -193,8 +193,8 @@ def _rank_span_equal(a, b):
 
 
 def _idempotent_family(sig):
-    """The built e; e conjugated by u = 1 + t e_ij; and e + (1-e) a e, which
-    generates the same ideal but is neither e nor sigma-self-adjoint."""
+    """The built e; e conjugated by u = 1 + t e_ij; and e + (1-e) a e, a
+    different idempotent that generates the same ideal as e."""
     e = build_primitive_idempotent(sig).e
     one = Multivector.unit(sig)
     family = [e]
@@ -203,7 +203,8 @@ def _idempotent_family(sig):
         square = (B * B).scalar_value().real
         for t in (0.3, 1.1):
             family.append((one + t * B) * e * ((1.0 / (1.0 - t * t * square)) * (one - t * B)))
-    for a in (Multivector.basis_vector(sig, 1), Multivector.basis_vector(sig, sig.n) + 0.7j * Multivector.blade(sig, [1, 2])):
+    last = Multivector.basis_vector(sig, sig.n)
+    for a in (Multivector.basis_vector(sig, 1), last + 0.7j * Multivector.blade(sig, [1, 2])):
         family.append(e + (one - e) * a * e)
     return [ideal_from_idempotent(x) for x in family]
 
