@@ -301,6 +301,12 @@ def make_real_structure(b_raw: Multivector) -> AdmissibleRealStructure:
     scale = b_raw.norm_max()
     if scale == 0.0:
         raise NotInCliffordGroup("zero element")
+    # an exact power of two puts the largest |coefficient| in [0.5, 1): no
+    # verdict depends on the scale of b_raw, and b1 * b1 cannot overflow
+    shift = -math.frexp(scale)[1]
+    b_raw = Multivector(sig, {k: complex(math.ldexp(z.real, shift), math.ldexp(z.imag, shift))
+                              for k, z in b_raw.coeffs.items()})
+    scale = b_raw.norm_max()
 
     # admissibility: conj(b) = e^{i theta} b
     kmax = max(b_raw.coeffs, key=lambda k: abs(b_raw[k]))
@@ -319,7 +325,7 @@ def make_real_structure(b_raw: Multivector) -> AdmissibleRealStructure:
     if not sq.is_scalar(ADMISSIBLE_TOL * scale * scale):
         raise NotInCliffordGroup("b * conj(b) is not a scalar")
     lam_val = sq.scalar_value(ADMISSIBLE_TOL * scale * scale).real
-    if abs(lam_val) <= ADMISSIBLE_TOL:
+    if abs(lam_val) <= ADMISSIBLE_TOL * scale * scale:
         raise NotInCliffordGroup("b is not invertible")
     b = (1.0 / np.sqrt(abs(lam_val))) * b1
 

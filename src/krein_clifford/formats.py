@@ -1,9 +1,14 @@
 """Text and JSON serialization of multivectors and matrices.
 
 Text form: terms `coeff*e_<indices>` joined by ` + `, e.g.
-``1.0*e_1 + 2.0i*e_23``; a scalar term is a bare number.  Imaginary
-units are written `i` (accepted on input as `i` or `j`).  Non-finite
-coefficients are refused.
+``1.0*e_1 + 2.0i*e_23``; a scalar term is a bare number, a blade with an
+index above 9 is written `e_{i,j,...}` and the imaginary unit `i`.  The
+reader ignores whitespace and takes each term as a run of `+`/`-` signs
+(needed after the first term), an optional coefficient (a real or
+imaginary literal, a bare `i` or `j`, or a parenthesised complex, then an
+optional `*`) and an optional blade in either form.  A term without
+coefficient or blade (a dangling sign), a non-finite coefficient and a
+repeated or out-of-range index are refused.
 """
 
 from __future__ import annotations
@@ -33,79 +38,54 @@ def format_complex(z: complex) -> str:
 
 
 def multivector_to_text(mv: Multivector) -> str:
-    if not mv.coeffs:
-        return "0"
     parts = []
-    for mask in sorted(mv.coeffs):
-        z = mv.coeffs[mask]
-        coeff = format_complex(z)
-        if mask == 0:
-            parts.append(coeff)
-        else:
-            label = "e_" + "".join(str(i) for i in _mask_indices(mask))
-            parts.append(f"{coeff}*{label}")
-    return " + ".join(parts)
+    for mask, z in sorted(mv.coeffs.items()):
+        idx = _mask_indices(mask)
+        label = "".join(map(str, idx)) if mask < 1 << 9 else "{" + ",".join(map(str, idx)) + "}"
+        parts.append(f"{format_complex(z)}*e_{label}" if mask else format_complex(z))
+    return " + ".join(parts) or "0"
 
 
+_REAL = r"(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf(?:inity)?|nan"
+_NUMBER = rf"(?:{_REAL})[ij]?|[ij]"  # a real or imaginary literal, or the bare unit
 _TERM_RE = re.compile(
-    r"^(?P<coeff>[^*]*?)\s*\*?\s*(?P<blade>e_[\d]+)?$"
+    r"(?P<sign>[+-]*)"
+    rf"(?:(?P<coeff>(?i:{_NUMBER}|\([+-]?(?:{_NUMBER})(?:[+-](?:{_REAL})?[ij])?\)))\*?)?"
+    r"(?P<blade>e_(?:(?P<digits>\d+)|\{(?P<indices>\d+(?:,\d+)*)\}))?"
 )
+_UNIT_RE = re.compile(r"[ij](?![a-z])", re.IGNORECASE)  # the unit, not the i of inf
 
 
-def _parse_coeff(text: str) -> complex:
-    raw = text = text.strip().replace(" ", "")
-    if text in ("", "+"):
-        return 1.0
-    if text == "-":
-        return -1.0
-    text = re.sub(r"[iJ](?![a-zA-Z])", "j", text)  # the unit, not the i of inf
-    if text.startswith("(") and text.endswith(")"):
-        text = text[1:-1]
-    z = complex(text)
+def _parse_coeff(sign: str, coeff: str) -> complex:
+    """Value of a term's sign run and coefficient; no coefficient means 1."""
+    z = complex(_UNIT_RE.sub("j", coeff)) if coeff else 1.0
+    if sign.count("-") % 2:
+        z = -z
     if not cmath.isfinite(z):
-        raise ValueError(f"non-finite coefficient {raw!r}")
+        raise ValueError(f"non-finite coefficient {sign + coeff!r}")
     return z
 
 
 def multivector_from_text(sig: Signature, text: str) -> Multivector:
     """Parse `coeff*e_ij + ...`; `c` or `1` denote the scalar unit."""
-    text = text.strip()
+    text = "".join(text.split())
     if text in ("c", ""):
         return Multivector.unit(sig)
-    text = text.replace(" - ", " + -")
     coeffs: dict[int, complex] = {}
-    # split on + that are term separators (not inside parentheses)
-    terms, depth, cur = [], 0, ""
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "+" and depth == 0 and cur.strip() and not cur.rstrip().endswith(("e", "*", "(")):
-            terms.append(cur)
-            cur = ""
-        else:
-            cur += ch
-    if cur.strip():
-        terms.append(cur)
-    for term in terms:
-        term = term.strip()
-        m = _TERM_RE.match(term)
-        if not m or (m.group("coeff") is None and m.group("blade") is None):
-            raise ValueError(f"cannot parse term {term!r}")
-        z = _parse_coeff(m.group("coeff") or "")
-        blade = m.group("blade")
-        if blade is None:
-            mask = 0
-        else:
-            idx = [int(c) for c in blade[2:]]
-            if len(set(idx)) != len(idx):
-                raise ValueError(f"repeated index in {blade!r}")
-            if any(i < 1 or i > sig.n for i in idx):
-                raise ValueError(f"index out of range in {blade!r} for n={sig.n}")
-            mask = 0
-            for i in idx:
-                mask |= 1 << (i - 1)
+    pos = 0
+    while pos < len(text):
+        m = _TERM_RE.match(text, pos)
+        sign, coeff, blade, digits, indices = m.group("sign", "coeff", "blade", "digits", "indices")
+        if not (coeff or blade) or (pos and not sign):
+            raise ValueError(f"cannot parse term {text[pos:]!r}")
+        pos = m.end()
+        z = _parse_coeff(sign, coeff or "")
+        idx = [int(i) for i in (digits or indices.split(","))] if blade else []
+        if len(set(idx)) != len(idx):
+            raise ValueError(f"repeated index in {blade!r}")
+        if any(i < 1 or i > sig.n for i in idx):
+            raise ValueError(f"index out of range in {blade!r} for n={sig.n}")
+        mask = sum(1 << (i - 1) for i in idx)
         coeffs[mask] = coeffs.get(mask, 0.0) + z
     return Multivector(sig, coeffs)
 

@@ -1,10 +1,14 @@
 """Self-contained property suites behind the `verify` CLI verb.
 
 Each suite returns a list of (name, ok, detail) triples.  All randomness
-is drawn from a single seeded generator so runs are reproducible.
+is drawn from a single seeded generator so runs are reproducible; it is
+the standard library's, since loading `numpy.random` costs more memory
+than the few thousand normal draws it would serve.
 """
 
 from __future__ import annotations
+
+import random
 
 import numpy as np
 
@@ -24,15 +28,16 @@ from .clifford_core import (
 SUITES = ("core", "spinor", "cone", "wick", "ideals", "all")
 
 
-def _rand_mv(sig: Signature, rng: np.random.Generator, real: bool = False) -> Multivector:
-    arr = rng.normal(size=1 << sig.n)
-    if not real:
-        arr = arr + 1j * rng.normal(size=1 << sig.n)
-    return Multivector.from_dense(sig, arr)
+def _normal(rng: random.Random, size: int) -> np.ndarray:
+    return np.array([rng.gauss(0.0, 1.0) for _ in range(size)])
 
 
-def _rand_vec(sig: Signature, rng: np.random.Generator) -> Multivector:
-    return Multivector.from_vector(sig, rng.normal(size=sig.n))
+def _rand_mv(sig: Signature, rng: random.Random) -> Multivector:
+    return Multivector.from_dense(sig, _normal(rng, 1 << sig.n) + 1j * _normal(rng, 1 << sig.n))
+
+
+def _rand_vec(sig: Signature, rng: random.Random) -> Multivector:
+    return Multivector.from_vector(sig, _normal(rng, sig.n))
 
 
 def _sigs():
@@ -40,7 +45,7 @@ def _sigs():
 
 
 def run_core(seed: int) -> list[tuple[str, bool, str]]:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     out = []
     worst = 0.0
     for sig in _sigs():
@@ -86,7 +91,7 @@ def run_core(seed: int) -> list[tuple[str, bool, str]]:
 
 
 def run_spinor(seed: int) -> list[tuple[str, bool, str]]:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     out = []
     worst = 0.0
     ok = True
@@ -119,13 +124,13 @@ def run_spinor(seed: int) -> list[tuple[str, bool, str]]:
 
 
 def run_cone(seed: int) -> list[tuple[str, bool, str]]:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     out = []
     for sig in (Signature(1, 3), Signature(3, 1)):
         g = sr.build_gammas(sig)
         bad = 0
         for _ in range(200):
-            v = rng.normal(size=sig.n)
+            v = _normal(rng, sig.n)
             qv = quadratic_form(Multivector.from_vector(sig, v)).real
             if abs(qv) < 1e-6:
                 continue
@@ -141,7 +146,7 @@ def run_cone(seed: int) -> list[tuple[str, bool, str]]:
     g = sr.build_gammas(sig)
     ok = True
     for _ in range(100):
-        v = rng.normal(size=sig.n)
+        v = _normal(rng, sig.n)
         r = sd.cone_test(sig, g, g.beta, v)
         if r.in_cone:
             r2 = sd.cone_test(sig, g, g.beta, -v)
@@ -163,7 +168,7 @@ def run_wick(seed: int) -> list[tuple[str, bool, str]]:
 
 
 def run_ideals(seed: int) -> list[tuple[str, bool, str]]:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     out = []
     sig = Signature(1, 1)
     e_w = 0.5 * (Multivector.unit(sig) + Multivector.blade(sig, [1, 2]))

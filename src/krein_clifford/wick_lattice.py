@@ -51,7 +51,7 @@ class LatticeSpec:
     def __post_init__(self):
         if self.sites_per_dim < 3:
             raise ValueError("need at least 3 sites per dimension for centered differences")
-        if not 0 < self.spacing < np.inf:  # False for NaN as well
+        if not (0 < self.spacing < np.inf and 1 / self.spacing < np.inf):  # False for NaN as well
             raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
         if self.total_dim > MAX_DIM:
             raise ValueError(

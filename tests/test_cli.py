@@ -34,6 +34,16 @@ def test_ko_table_antilorentz(capsys):
     assert rows[4]["ko_dim_mod8"] == 6
 
 
+def test_ko_table_text_matches_json(capsys):
+    argv = ("ko-table", "--case", "lorentz", "--n", "2,4")
+    _, doc, _ = run_json(capsys, *argv)
+    code, out, _ = run_cli(capsys, "--format", "text", *argv)
+    cols = ["n", "ko_dim_mod8", "eps", "eps_dprime", "eps_tilde", "kappa", "kappa_tilde"]
+    header, *lines = out.splitlines()
+    assert code == 0 and header.split() == cols
+    assert [line.split() for line in lines] == [[str(r[c]) for c in cols] for r in doc["rows"]]
+
+
 def test_ko_table_euclidean_n4(capsys):
     code, doc, _ = run_json(capsys, "ko-table", "--case", "euclidean", "--n", "4")
     assert code == 0
@@ -138,27 +148,50 @@ def test_garling_at_table_cap(capsys):
     code, doc, _ = run_json(capsys, "garling", "--p", "5", "--q", "5")
     assert code == 0
     assert doc["inertia"] == [512, 512, 0] and doc["classification"] == "neutral"
+    b = "e_{1,2,3,4,5,6,7,8,9,10}"
+    code, doc, _ = run_json(capsys, "garling", "--p", "0", "--q", "10", "--b", b)
+    assert code == 0 and doc["euclidean"] and doc["classification"] == "positive_definite"
+    assert doc["b"] == f"1.0*{b}"
 
 
-def _scipy_modules_after(code, *argv):
-    """scipy modules loaded once `code` has run in a fresh interpreter; it
-    reports on stderr, since the CLI writes its payload to stdout."""
-    src = str(Path(__import__("krein_clifford").__file__).parents[1])
-    code += "; sys.stderr.write(repr(sorted(m for m in sys.modules if m.startswith('scipy'))))"
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env)
+@pytest.mark.parametrize("argv", [("garling",), ("csnorm", "--a", "e_1 + 2*e_2"), ("ideal",)])
+def test_structure_does_not_depend_on_the_scale_of_b(capsys, argv):
+    verb, *rest = argv
+    want = run_cli(capsys, "--format", "json", verb, "--p", "3", "--q", "3", "--b", "e_123", *rest)
+    assert want[0] == 0
+    for b in ("1e-6*e_123", "1e300*e_123"):
+        assert run_cli(capsys, "--format", "json", verb, "--p", "3", "--q", "3", "--b", b, *rest) == want
+
+
+def _run_fresh(code, *argv):
+    """`python -c code *argv` in a fresh interpreter that imports this package."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__import__("krein_clifford").__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env)
+
+
+def _modules_after(prefix, code, *argv):
+    """Modules named `prefix`... loaded once `code` has run in a fresh
+    interpreter; it reports on stderr, since the CLI writes its payload to stdout."""
+    code += f"; sys.stderr.write(repr(sorted(m for m in sys.modules if m.startswith({prefix!r}))))"
+    proc = _run_fresh(code, *argv)
     assert proc.returncode == 0, proc.stderr
     return proc.stderr.strip()
 
 
+_MAIN = "import sys; from krein_clifford.cli import main; assert main(sys.argv[1:]) == 0"
+
+
 def test_cli_import_loads_no_scipy():
-    assert _scipy_modules_after("import sys, krein_clifford.cli") == "[]"
+    assert _modules_after("scipy", "import sys, krein_clifford.cli") == "[]"
 
 
 @pytest.mark.parametrize("argv", [("wick", "--p", "2", "--q", "0", "--sites", "5"), ("verify", "--suite", "wick")])
 def test_lattice_verbs_load_no_scipy(argv):
-    code = "import sys; from krein_clifford.cli import main; assert main(sys.argv[1:]) == 0"
-    assert _scipy_modules_after(code, *argv) == "[]"
+    assert _modules_after("scipy", _MAIN, *argv) == "[]"
+
+
+def test_verify_loads_no_numpy_random():
+    assert _modules_after("numpy.random", _MAIN, "verify", "--suite", "all") == "[]"
 
 
 def test_garling_rejects_non_admissible(capsys):
@@ -186,7 +219,7 @@ def test_wick_size_errors(capsys):
     assert code == 2  # source must be Euclidean
 
 
-@pytest.mark.parametrize("spacing", ["inf", "nan"])
+@pytest.mark.parametrize("spacing", ["inf", "nan", "1e-320"])
 def test_wick_refuses_non_finite_spacing(capsys, spacing):
     argv = ("wick", "--p", "2", "--q", "0", "--sites", "5", "--spacing", spacing)
     code, out, err = run_cli(capsys, "--format", "json", *argv)
@@ -194,6 +227,14 @@ def test_wick_refuses_non_finite_spacing(capsys, spacing):
     assert json.loads(err) == {
         "status": "fail", "error": f"spacing must be positive and finite, got {spacing}"
     }
+
+
+def test_wick_refuses_subnormal_spacing_with_one_json_line():
+    argv = ("--format", "json", "wick", "--p", "2", "--q", "0", "--sites", "3", "--spacing", "1e-320")
+    proc = _run_fresh("import sys; from krein_clifford.cli import main; sys.exit(main(sys.argv[1:]))", *argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert json.loads(line)["error"] == "spacing must be positive and finite, got 1e-320"
 
 
 def test_consecutive_calls_share_no_parser_state(capsys):
@@ -247,6 +288,20 @@ def test_ideal_forms_g_once(capsys, monkeypatch, p, q, b, isotropic, calls):
     code, doc, _ = run_json(capsys, "ideal", "--p", str(p), "--q", str(q), "--b", b)
     assert code == 0 and doc["isotropic"] is isotropic
     assert count == calls
+
+
+@pytest.mark.parametrize("argv", [
+    ("ideal", "--p", "1", "--q", "3", "--b", "e_1"),
+    ("ideal", "--p", "1", "--q", "1", "--b", "c", "--e", "0.5 + 0.5*e_12"),
+])
+def test_ideal_text_matches_json(capsys, argv):
+    _, doc, _ = run_json(capsys, *argv)
+    code, out, _ = run_cli(capsys, "--format", "text", *argv)
+    inertia = tuple(doc["gram_inertia"])
+    want = [f"e = {doc['e']}", f"Gram classification: {doc['classification']}  (n+,n-,n0) = {inertia}"]
+    if not doc["isotropic"]:
+        want += [f"f = {doc['f']}", f"tau_n(f) = {doc['tau_f'][0]:.12g}"]
+    assert code == 0 and out.splitlines() == [*want, f"status: {doc['status']}"]
 
 
 def test_gammas_payload(capsys):

@@ -156,9 +156,10 @@ def test_make_real_structure_examples():
     # phases are stripped: i*e_1 normalizes to e_1
     s3 = make_real_structure(1j * Multivector.basis_vector(sig, 1))
     assert (s3.b - s.b).norm_max() < 1e-12
-    # scaling is stripped
-    s4 = make_real_structure(7.0 * Multivector.basis_vector(sig, 1))
-    assert (s4.b - s.b).norm_max() < 1e-12
+    # scaling is stripped, from the subnormal-adjacent to the overflow-adjacent
+    for scale in (7.0, 1e-300, 1e-6, 1e6, 1e300):
+        s4 = make_real_structure(scale * Multivector.basis_vector(sig, 1))
+        assert (s4.b - s.b).norm_max() < 1e-12 and (s4.lam, s4.alpha) == (1, 1), scale
     # every phase e^{i theta} e_I normalizes to the real blade e_I
     for indices in ([1], [2], [1, 2], [2, 3], [1, 2, 3], [1, 2, 3, 4]):
         blade = Multivector.blade(sig, indices)

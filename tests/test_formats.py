@@ -53,14 +53,40 @@ def test_text_parses_common_inputs():
     assert (got - want).norm_max() == 0.0
 
 
+@pytest.mark.parametrize("text,want", [
+    ("e_1-e_2", {1: 1, 2: -1}),
+    ("-(1+2i)*e_1", {1: -1 - 2j}),
+    ("(1+2i)*e_1 - (3-1i)*e_2", {1: 1 + 2j, 2: -3 + 1j}),
+    ("1E+3*e_1", {1: 1000}),
+    ("- -e_1", {1: 1}),
+    ("e_1 - -e_2", {1: 1, 2: 1}),
+    ("+-1.0*e_1", {1: -1}),
+    ("i*e_1 + 2j + .5e-1*e_{1,2}", {1: 1j, 0: 2j, 3: 0.05}),
+])
+def test_text_term_grammar(text, want):
+    assert multivector_from_text(Signature(1, 1), text).coeffs == want
+
+
 def test_text_rejects_bad_input():
     sig = Signature(1, 1)
-    with pytest.raises(ValueError):
-        multivector_from_text(sig, "e_11")  # repeated index
-    with pytest.raises(ValueError):
-        multivector_from_text(sig, "e_3")  # out of range
-    with pytest.raises(ValueError):
-        multivector_from_text(sig, "what")
+    with pytest.raises(ValueError, match="repeated index"):
+        multivector_from_text(sig, "e_11")
+    with pytest.raises(ValueError, match="repeated index"):
+        multivector_from_text(sig, "e_{2,1,2}")
+    with pytest.raises(ValueError, match="index out of range"):
+        multivector_from_text(sig, "e_3")
+    for text in ("what", "e_1 +", "e_1 e_2", "2 * * e_1", "(1+2)*e_1", "e_{}"):
+        with pytest.raises(ValueError, match="cannot parse"):
+            multivector_from_text(sig, text)
+
+
+def test_text_round_trips_every_blade_at_n10():
+    sig = Signature(0, 10)
+    assert multivector_to_text(Multivector.blade(sig, [1, 2, 9])) == "1.0*e_129"
+    assert multivector_to_text(Multivector.blade(sig, [1, 10], -2.0)) == "-2.0*e_{1,10}"
+    for mask in range(1 << 10):
+        mv = Multivector(sig, {mask: 1.5 - 0.5j})
+        assert multivector_from_text(sig, multivector_to_text(mv)).coeffs == mv.coeffs
 
 
 @settings(max_examples=60, deadline=None)

@@ -91,7 +91,7 @@ def _max_entry(M):
 def test_lattice_spec_validation():
     with pytest.raises(ValueError):
         LatticeSpec(Signature(1, 1), 2)
-    for spacing in (0.0, np.inf, np.nan):
+    for spacing in (0.0, np.inf, np.nan, 1e-320):  # 1e-320: 1/spacing overflows
         with pytest.raises(ValueError, match="spacing must be positive and finite"):
             LatticeSpec(Signature(1, 1), 4, spacing=spacing)
     spec = LatticeSpec(Signature(1, 1), 4, spacing=0.5)
