@@ -12,8 +12,9 @@ the norm
 
     ||a||_{inf,sigma} = sup { ||ab||_sigma : ||b||_sigma = 1 }
 
-turns (Cl(V), x_sigma) into a C*-algebra without reference to any
-spinor representation.
+turns (Cl(V), x_sigma) into a C*-algebra without reference to any spinor
+representation.  It is the operator norm of left multiplication in one
+sigma-orthonormal basis, so the norms of one call share one Cholesky factor.
 """
 
 from __future__ import annotations
@@ -149,32 +150,31 @@ def canonical_selfadjoint_idempotent(
     return Multivector.from_dense(sig, x.dense() / denom, tol=1e-13)
 
 
-def cstar_norm(sigma: AdmissibleRealStructure, a: Multivector) -> float:
-    """||a||_{inf,sigma}: operator norm of left multiplication by a
-    in a (.,.)_sigma-orthonormal basis.  Requires Euclidean sigma."""
+def _operator_norms(form: np.ndarray, mats) -> list[float]:
+    """Operator norm of each X for the scalar product form = T^H T: ||T X T^-1||_2."""
+    T = np.linalg.cholesky(form).conj().T
+    T_inv = np.linalg.inv(T)
+    return [float(np.linalg.norm(T @ X @ T_inv, 2)) for X in mats]
+
+
+def cstar_norm(sigma: AdmissibleRealStructure, *elements: Multivector) -> list[float]:
+    """||a||_{inf,sigma} of each element; requires Euclidean sigma."""
     if not is_euclidean(sigma):
         raise ValueError("the C*-norm is only defined for Euclidean real structures")
     G = sigma_product_gram(sigma)
-    G = 0.5 * (G + G.conj().T)
-    T = np.linalg.cholesky(G).conj().T  # G = T^H T
-    W = T @ left_multiplication_matrix(a) @ np.linalg.inv(T)
-    return float(np.linalg.norm(W, 2))
+    return _operator_norms(0.5 * (G + G.conj().T), map(left_multiplication_matrix, elements))
 
 
-def cstar_identity_check(sigma: AdmissibleRealStructure, a: Multivector) -> float:
-    """| ||a^{x_sigma} a|| - ||a||^2 | for the C*-norm."""
-    na = cstar_norm(sigma, a)
-    return abs(cstar_norm(sigma, sigma.sigma_cross(a) * a) - na * na)
+def cstar_identity_check(sigma: AdmissibleRealStructure, *elements: Multivector) -> float:
+    """Largest | ||a^{x_sigma} a|| - ||a||^2 | over the elements."""
+    norms = cstar_norm(sigma, *elements, *(sigma.sigma_cross(a) * a for a in elements))
+    return max((abs(sq - na * na) for na, sq in zip(norms, norms[len(elements):])), default=0.0)
 
 
-def rho_operator_norm(sigma: AdmissibleRealStructure, a: Multivector) -> float:
-    """Operator norm of rho(a) w.r.t. the sigma-compatible scalar product."""
-    if not is_euclidean(sigma):
-        raise ValueError("requires an Euclidean real structure")
-    g = build_gammas(a.sig)
-    T = np.linalg.cholesky(positive_sigma_product(g, sigma)).conj().T
-    W = T @ represent(g, a) @ np.linalg.inv(T)
-    return float(np.linalg.norm(W, 2))
+def rho_operator_norm(sigma: AdmissibleRealStructure, *elements: Multivector) -> list[float]:
+    """||rho(a)|| of each element for the sigma-compatible product; Euclidean sigma only."""
+    g = build_gammas(sigma.sig)
+    return _operator_norms(positive_sigma_product(g, sigma), (represent(g, a) for a in elements))
 
 
 def canonical_rotor(

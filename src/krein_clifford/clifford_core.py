@@ -8,6 +8,7 @@ coefficients are complex doubles.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -16,7 +17,6 @@ import numpy as np
 
 from ._kernels import gp_dense, sign_table
 
-PRUNE_TOL = 0.0  # coefficients equal to exact zero are dropped; NaN and inf are refused
 DEFINITENESS_TOL = 1e-9
 HERMITICITY_TOL = 1e-10
 ADMISSIBLE_TOL = 1e-10  # make_real_structure's admissibility and group checks
@@ -79,10 +79,9 @@ class Multivector:
                 if not 0 <= k < top:
                     raise ValueError(f"blade index {k} out of range for n={sig.n}")
                 z = complex(v)
-                size = abs(z)
-                if not size < math.inf:  # NaN compares False too
+                if not cmath.isfinite(z):
                     raise ValueError(f"non-finite coefficient {z} on blade {k}")
-                if size > PRUNE_TOL:
+                if z != 0:  # exact zeros are dropped
                     cs[int(k)] = z
         self._coeffs = cs
 
@@ -159,7 +158,10 @@ class Multivector:
         return all(abs(v.imag) <= tol for v in self._coeffs.values())
 
     def norm_max(self) -> float:
-        return max((abs(v) for v in self._coeffs.values()), default=0.0)
+        try:
+            return max(map(abs, self._coeffs.values()), default=0.0)
+        except OverflowError:  # finite parts, |z| above the float maximum
+            return math.inf
 
     # -- algebra ------------------------------------------------------
 
@@ -298,12 +300,11 @@ def make_real_structure(b_raw: Multivector) -> AdmissibleRealStructure:
     largest-magnitude coefficient of b real positive.
     """
     sig = b_raw.sig
-    scale = b_raw.norm_max()
-    if scale == 0.0:
+    if not b_raw.coeffs:
         raise NotInCliffordGroup("zero element")
-    # an exact power of two puts the largest |coefficient| in [0.5, 1): no
-    # verdict depends on the scale of b_raw, and b1 * b1 cannot overflow
-    shift = -math.frexp(scale)[1]
+    # an exact power of two puts the largest part in [0.5, 1): no verdict depends on its scale
+    top = max(max(abs(z.real), abs(z.imag)) for z in b_raw.coeffs.values())
+    shift = -math.frexp(top)[1]
     b_raw = Multivector(sig, {k: complex(math.ldexp(z.real, shift), math.ldexp(z.imag, shift))
                               for k, z in b_raw.coeffs.items()})
     scale = b_raw.norm_max()

@@ -274,13 +274,19 @@ def test_criterion_9_cstar_structure(capsys):
     ]
     for sig, sigma in setups:
         assert is_euclidean(sigma)
-        for _ in range(100):
-            a = Multivector.from_dense(
+        draws = [
+            Multivector.from_dense(
                 sig, rng.normal(size=1 << sig.n) + 1j * rng.normal(size=1 << sig.n)
             )
-            na = asp.cstar_norm(sigma, a)
-            assert asp.cstar_identity_check(sigma, a) <= 1e-9 * max(na * na, 1.0), sig
-            assert abs(na - asp.rho_operator_norm(sigma, a)) <= 1e-9 * max(na, 1.0), sig
+            for _ in range(100)
+        ]
+        norms = asp.cstar_norm(sigma, *draws)
+        squares = asp.cstar_norm(sigma, *(sigma.sigma_cross(a) * a for a in draws))
+        residuals = [abs(sq - na * na) for na, sq in zip(norms, squares)]
+        assert asp.cstar_identity_check(sigma, *draws) == max(residuals), sig
+        for na, res, nr in zip(norms, residuals, asp.rho_operator_norm(sigma, *draws)):
+            assert res <= 1e-9 * max(na * na, 1.0), sig
+            assert abs(na - nr) <= 1e-9 * max(na, 1.0), sig
 
     # canonical isometry between two Euclidean structures of one signature
     for sig in (Signature(1, 1), Signature(1, 3)):
@@ -290,11 +296,13 @@ def test_criterion_9_cstar_structure(capsys):
         )
         sigma2 = make_real_structure(b2)
         assert is_euclidean(sigma2)
-        for _ in range(50):
-            a = Multivector.from_dense(
+        draws = [
+            Multivector.from_dense(
                 sig, rng.normal(size=1 << sig.n) + 1j * rng.normal(size=1 << sig.n)
             )
-            na = asp.cstar_norm(sigma, a)
-            nb = asp.cstar_norm(sigma2, asp.euclidean_isomorphism(sigma, sigma2, a))
+            for _ in range(50)
+        ]
+        images = (asp.euclidean_isomorphism(sigma, sigma2, a) for a in draws)
+        for na, nb in zip(asp.cstar_norm(sigma, *draws), asp.cstar_norm(sigma2, *images)):
             assert abs(na - nb) <= 1e-9 * max(na, 1.0), sig
     report(capsys, "PASS criterion 9: C*-identity, norm equality and canonical isometry at 1e-9")

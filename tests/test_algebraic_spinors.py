@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from krein_clifford import algebraic_spinors as asp
 from krein_clifford.algebraic_spinors import (
     DegenerateIdealError,
     build_primitive_idempotent,
@@ -20,11 +21,13 @@ from krein_clifford.algebraic_spinors import (
     rho_operator_norm,
     span_equal,
 )
+from krein_clifford.cli import main
 from krein_clifford.clifford_core import (
     AdmissibleRealStructure,
     Multivector,
     Signature,
     euclidean_structure,
+    left_multiplication_matrix,
     make_real_structure,
     sigma_product,
     sigma_product_gram,
@@ -258,10 +261,14 @@ def test_span_equal_detects_different_ideals():
 def test_cstar_norm_scalar_and_unitary():
     sig = Signature(2, 0)
     sigma = AdmissibleRealStructure.canonical(sig)
-    assert cstar_norm(sigma, Multivector.unit(sig)) == pytest.approx(1.0, abs=1e-12)
-    assert cstar_norm(sigma, 3j * Multivector.unit(sig)) == pytest.approx(3.0, abs=1e-12)
+    one, three, gen = cstar_norm(
+        sigma, Multivector.unit(sig), 3j * Multivector.unit(sig), Multivector.basis_vector(sig, 1)
+    )
+    assert one == pytest.approx(1.0, abs=1e-12)
+    assert three == pytest.approx(3.0, abs=1e-12)
     # generators are sigma-unitary: norm 1
-    assert cstar_norm(sigma, Multivector.basis_vector(sig, 1)) == pytest.approx(1.0, abs=1e-10)
+    assert gen == pytest.approx(1.0, abs=1e-10)
+    assert cstar_norm(sigma) == [] and cstar_identity_check(sigma) == 0.0
 
 
 def test_cstar_norm_singular_value_oracle():
@@ -270,7 +277,8 @@ def test_cstar_norm_singular_value_oracle():
     sig = Signature(2, 0)
     sigma = AdmissibleRealStructure.canonical(sig)
     a = Multivector.basis_vector(sig, 1) + 2.0 * Multivector.basis_vector(sig, 2)
-    assert cstar_norm(sigma, a) == pytest.approx(np.sqrt(5.0), abs=1e-10)
+    [na] = cstar_norm(sigma, a)
+    assert na == pytest.approx(np.sqrt(5.0), abs=1e-10)
     assert cstar_identity_check(sigma, a) <= 1e-10
 
 
@@ -293,13 +301,60 @@ def test_cstar_norm_requires_euclidean():
 )
 def test_cstar_identity_and_norm_equality(sig, make_sigma, rng):
     sigma = make_sigma(sig)
-    for _ in range(20):
-        a = rand_mv(sig, rng)
-        na = cstar_norm(sigma, a)
-        assert cstar_identity_check(sigma, a) <= 1e-9 * max(na * na, 1.0)
-        assert abs(na - rho_operator_norm(sigma, a)) <= 1e-9 * max(na, 1.0)
+    draws = [rand_mv(sig, rng) for _ in range(20)]
+    norms = cstar_norm(sigma, *draws)
+    squares = cstar_norm(sigma, *(sigma.sigma_cross(a) * a for a in draws))
+    residuals = [abs(sq - na * na) for na, sq in zip(norms, squares)]
+    assert cstar_identity_check(sigma, *draws) == max(residuals)
+    for a, na, res, nr in zip(draws, norms, residuals, rho_operator_norm(sigma, *draws)):
+        assert res <= 1e-9 * max(na * na, 1.0)
+        assert abs(na - nr) <= 1e-9 * max(na, 1.0)
         # C*-norm dominates the normalized-trace "Frobenius" scale
         assert na >= abs(a.normalized_trace()) - 1e-12
+
+
+def _cstar_norm_per_element(sigma, a):
+    """Oracle: the C*-norm of one element from its own sigma-Gram and
+    Cholesky factor, as computed before the norms shared one factor."""
+    G = sigma_product_gram(sigma)
+    G = 0.5 * (G + G.conj().T)
+    T = np.linalg.cholesky(G).conj().T
+    W = T @ left_multiplication_matrix(a) @ np.linalg.inv(T)
+    return float(np.linalg.norm(W, 2))
+
+
+@pytest.mark.parametrize("sig", SMALL_SIGS, ids=lambda s: f"{s.p}{s.q}")
+def test_batched_norms_equal_one_element_calls(sig, rng):
+    sigma = euclidean_structure(sig)
+    draws = [rand_mv(sig, rng) for _ in range(4)] + [Multivector.unit(sig)]
+    norms = cstar_norm(sigma, *draws)
+    assert norms == [n for a in draws for n in cstar_norm(sigma, a)]
+    assert rho_operator_norm(sigma, *draws) == [n for a in draws for n in rho_operator_norm(sigma, a)]
+    for a, na in zip(draws, norms):
+        want = _cstar_norm_per_element(sigma, a)
+        assert abs(na - want) <= 1e-12 * want, sig
+
+
+def _counting(calls, name, fn):
+    def counted(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    return counted
+
+
+def test_one_gram_and_euclidean_check_per_request(monkeypatch, capsys):
+    # counted where algebraic_spinors looks them up
+    calls = {"sigma_product_gram": 0, "is_euclidean": 0}
+    for name in calls:
+        monkeypatch.setattr(asp, name, _counting(calls, name, getattr(asp, name)))
+    argv = ["csnorm", "--p", "1", "--q", "3", "--b", "e_1", "--a", "e_1 + 2*e_23"]
+    assert main(argv) == 0
+    assert calls == {"sigma_product_gram": 1, "is_euclidean": 1}
+    calls.update(sigma_product_gram=0, is_euclidean=0)
+    assert main(["verify", "--suite", "ideals"]) == 0
+    assert calls["sigma_product_gram"] <= 3 and calls["is_euclidean"] <= 2
+    capsys.readouterr()
 
 
 def test_whitened_gram_oracle(rng):
@@ -314,7 +369,8 @@ def test_whitened_gram_oracle(rng):
         [(a * Multivector(sig, {m: 1.0})).dense() for m in range(4)]
     )
     w = sla.eigh(L.conj().T @ G @ L, G, eigvals_only=True)
-    assert cstar_norm(sigma, a) == pytest.approx(np.sqrt(max(w)), abs=1e-9)
+    [na] = cstar_norm(sigma, a)
+    assert na == pytest.approx(np.sqrt(max(w)), abs=1e-9)
 
 
 # -- canonical isometry --------------------------------------------------
@@ -347,10 +403,9 @@ def test_euclidean_isomorphism_is_isometry(rng):
     ]:
         sigma = mk(sig)
         sigma2 = _boosted_structure(sig)
-        for _ in range(10):
-            a = rand_mv(sig, rng)
-            na = cstar_norm(sigma, a)
-            nb = cstar_norm(sigma2, euclidean_isomorphism(sigma, sigma2, a))
+        draws = [rand_mv(sig, rng) for _ in range(10)]
+        images = (euclidean_isomorphism(sigma, sigma2, a) for a in draws)
+        for na, nb in zip(cstar_norm(sigma, *draws), cstar_norm(sigma2, *images)):
             assert abs(na - nb) <= 1e-9 * max(na, 1.0)
 
 

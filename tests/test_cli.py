@@ -194,6 +194,19 @@ def test_verify_loads_no_numpy_random():
     assert _modules_after("numpy.random", _MAIN, "verify", "--suite", "all") == "[]"
 
 
+def test_coefficients_near_the_float_maximum(capsys):
+    # both parts are finite, but |z| exceeds the float maximum
+    big = "(1.7e308+1.7e308i)*e_1"
+    want = run_cli(capsys, "garling", "--p", "2", "--q", "0", "--b", "e_1")
+    assert want[0] == 0
+    assert run_cli(capsys, "garling", "--p", "2", "--q", "0", "--b", big) == want
+    argv = ("--format", "json", "csnorm", "--p", "2", "--q", "0", "--b", "c", "--a", big)
+    proc = _run_fresh("import sys; from krein_clifford.cli import main; sys.exit(main(sys.argv[1:]))", *argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert json.loads(line)["error"].startswith("non-finite coefficient")
+
+
 def test_garling_rejects_non_admissible(capsys):
     code, _, err = run_cli(capsys, "garling", "--p", "1", "--q", "3", "--b", "1 + e_1")
     assert code == 2 and err

@@ -85,6 +85,12 @@ def test_non_finite_coefficient_is_refused(bad):
         Multivector(Signature(2, 0), {1: bad, 2: 1.0})
 
 
+def test_coefficient_near_the_float_maximum_is_kept():
+    z = complex(1.7e308, 1.7e308)  # finite parts, |z| above the float maximum
+    a = Multivector(Signature(2, 0), {1: z, 2: 0.0})
+    assert a.coeffs == {1: z} and a.norm_max() == float("inf")
+
+
 def test_from_dense_passes_nan_to_the_finiteness_check():
     with pytest.raises(ValueError, match="non-finite"):
         Multivector.from_dense(Signature(2, 0), np.array([0.0, np.nan, 0.0, 1.0]))
@@ -157,7 +163,7 @@ def test_make_real_structure_examples():
     s3 = make_real_structure(1j * Multivector.basis_vector(sig, 1))
     assert (s3.b - s.b).norm_max() < 1e-12
     # scaling is stripped, from the subnormal-adjacent to the overflow-adjacent
-    for scale in (7.0, 1e-300, 1e-6, 1e6, 1e300):
+    for scale in (7.0, 1e-300, 1e-6, 1e6, 1e300, 1.7e308 + 1.7e308j):
         s4 = make_real_structure(scale * Multivector.basis_vector(sig, 1))
         assert (s4.b - s.b).norm_max() < 1e-12 and (s4.lam, s4.alpha) == (1, 1), scale
     # every phase e^{i theta} e_I normalizes to the real blade e_I
