@@ -189,8 +189,8 @@ def run_ideals(seed: int) -> list[tuple[str, bool, str]]:
 
     sigma = euclidean_structure(Signature(1, 3))
     draws = [_rand_mv(sigma.sig, rng) for _ in range(20)]
-    norms = zip(asp.cstar_norm(sigma, *draws), asp.rho_operator_norm(sigma, *draws))
-    worst = max(asp.cstar_identity_check(sigma, *draws), *(abs(na - nr) for na, nr in norms))
+    pairs = zip(asp.cstar_norm(sigma, *draws), asp.rho_operator_norm(sigma, *draws))
+    worst = max(asp.cstar_identity_check(sigma, *draws), *(abs(na - nr) for na, nr in pairs))
     out.append(("cstar_identity_and_norm", worst <= 1e-9, f"max residual {worst:.2e}"))
     return out
 
