@@ -1,9 +1,10 @@
 """Pure-Python blade kernels.
 
-The hot inner loops of the geometric product.  Blade indices are bitmasks
-over the generators: bit ``i`` (0-based) set means generator ``e_{i+1}``
-is present.  Generators 1..p square to +1, the remaining q square to -1.
-All signs are computed in exact integer arithmetic.
+The geometric product of two sparse multivectors, term by term into a
+sparse result, and the per-signature blade sign table.  Blade indices are
+bitmasks over the generators: bit ``i`` (0-based) set means generator
+``e_{i+1}`` is present.  Generators 1..p square to +1, the remaining q
+square to -1.  All signs are computed in exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -44,26 +45,22 @@ def blade_sign(I: int, J: int, p: int) -> int:
     return sign
 
 
-def gp_dense(
-    keys_a: np.ndarray,
-    vals_a: np.ndarray,
-    keys_b: np.ndarray,
-    vals_b: np.ndarray,
-    p: int,
-    n: int,
-) -> np.ndarray:
-    """Geometric product of two sparse multivectors, accumulated densely.
+# the name and the argument positions stay: the benchmark's tracer times the
+# kernel under this name and counts len(keys_a) * len(keys_b) term pairs
+def gp_dense(keys_a, vals_a, keys_b, vals_b, p: int) -> dict[int, complex]:
+    """Geometric product of two sparse multivectors, sparse in and out.
 
-    Returns a complex array of length 2**n indexed by blade bitmask.
+    The operands are given as parallel sequences of blade masks and
+    coefficients (a dict's keys and values serve).  Returns a new
+    ``{mask: coefficient}`` dict holding the sum of
+    ``blade_sign(ka, kb, p) * va * vb`` on mask ``ka ^ kb``, accumulated
+    term by term in operand order; sums that cancel stay in as zeros.
     """
-    out = np.zeros(1 << n, dtype=np.complex128)
-    for ia in range(len(keys_a)):
-        ka = int(keys_a[ia])
-        va = vals_a[ia]
-        for ib in range(len(keys_b)):
-            kb = int(keys_b[ib])
-            s = blade_sign(ka, kb, p)
-            out[ka ^ kb] += s * va * vals_b[ib]
+    out: dict[int, complex] = {}
+    for ka, va in zip(keys_a, vals_a):
+        for kb, vb in zip(keys_b, vals_b):
+            k = ka ^ kb
+            out[k] = out.get(k, 0j) + blade_sign(ka, kb, p) * va * vb
     return out
 
 

@@ -147,7 +147,9 @@ def canonical_selfadjoint_idempotent(
     I = max(g.coeffs, key=lambda k: abs(g[k]))
     denom = (1 << (sig.n // 2)) * g[I] * sign_table(sig.p, sig.n)[I, I]
     x = e_x * Multivector(sig, {I: 1.0}) * e
-    return Multivector.from_dense(sig, x.dense() / denom, tol=1e-13)
+    f = {k: v / denom for k, v in x.coeffs.items()}
+    # `not <=` keeps NaN, so that Multivector refuses it
+    return Multivector(sig, {k: v for k, v in f.items() if not abs(v) <= 1e-13})
 
 
 def _operator_norms(form: np.ndarray, mats) -> list[float]:

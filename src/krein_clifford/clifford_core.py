@@ -119,9 +119,8 @@ class Multivector:
         return cls(sig, {1 << i: c for i, c in enumerate(coords) if c != 0})
 
     @classmethod
-    def from_dense(cls, sig: Signature, arr: np.ndarray, tol: float = 0.0) -> "Multivector":
-        # `not <=` keeps NaN entries, so that __init__ refuses them
-        return cls(sig, {k: z for k, z in enumerate(arr) if not abs(z) <= tol})
+    def from_dense(cls, sig: Signature, arr: np.ndarray) -> "Multivector":
+        return cls(sig, dict(enumerate(arr)))
 
     # -- access -------------------------------------------------------
 
@@ -147,7 +146,9 @@ class Multivector:
         )
 
     def is_scalar(self, tol: float = 1e-12) -> bool:
-        return all(abs(v) <= tol for m, v in self._coeffs.items() if m != 0)
+        # both parts first: abs(v) overflows when they are finite but large
+        return all(abs(v.real) <= tol and abs(v.imag) <= tol and abs(v) <= tol
+                   for m, v in self._coeffs.items() if m != 0)
 
     def scalar_value(self, tol: float = 1e-12) -> complex:
         if not self.is_scalar(tol):
@@ -191,12 +192,8 @@ class Multivector:
         self._check_sig(other)
         if not self._coeffs or not other._coeffs:
             return Multivector(self.sig)
-        ka = np.fromiter(self._coeffs.keys(), dtype=np.int64)
-        va = np.fromiter(self._coeffs.values(), dtype=np.complex128)
-        kb = np.fromiter(other._coeffs.keys(), dtype=np.int64)
-        vb = np.fromiter(other._coeffs.values(), dtype=np.complex128)
-        out = gp_dense(ka, va, kb, vb, self.sig.p, self.sig.n)
-        return Multivector.from_dense(self.sig, out)
+        a, b = self._coeffs, other._coeffs
+        return Multivector(self.sig, gp_dense(a.keys(), a.values(), b.keys(), b.values(), self.sig.p))
 
     def reversal(self) -> "Multivector":
         return Multivector(
@@ -259,7 +256,8 @@ class AdmissibleRealStructure:
 
     Encoded by a real normalized Clifford-group element b: the structure
     acts as a |-> b * conj(a) * b^{-1}.  ``lam`` is the sign b^2 = lam,
-    ``alpha`` the sign b^T = alpha * b.
+    ``alpha`` the sign b^T = alpha * b, which for real b is also the sign
+    in b^x = alpha * b.
     """
 
     __slots__ = ("b", "b_inv", "lam", "alpha")
@@ -273,11 +271,6 @@ class AdmissibleRealStructure:
     @property
     def sig(self) -> Signature:
         return self.b.sig
-
-    @property
-    def lam_prime(self) -> int:
-        """Sign in b^x = lam' * b; equals alpha for real normalized b."""
-        return self.alpha
 
     @classmethod
     def canonical(cls, sig: Signature) -> "AdmissibleRealStructure":
@@ -424,9 +417,8 @@ def is_euclidean(sigma: AdmissibleRealStructure) -> bool:
     the generator block of the sigma-product Gram matrix.
     """
     gens = 1 << np.arange(sigma.sig.n)
-    G = _sigma_gram_rows(sigma, gens)[:, gens]
-    w = np.linalg.eigvalsh(0.5 * (G + G.T).real)
-    return bool(w[0] > DEFINITENESS_TOL * max(abs(w).max(), 1.0))
+    G = _sigma_gram_rows(sigma, gens)[:, gens].real
+    return hermitian_inertia(G).classification == "positive_definite"
 
 
 def euclidean_structure(sig: Signature) -> AdmissibleRealStructure:

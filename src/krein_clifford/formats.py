@@ -1,4 +1,4 @@
-"""Text and JSON serialization of multivectors and matrices.
+"""Text form of multivectors and the JSON writer for CLI payloads.
 
 Text form: terms `coeff*e_<indices>` joined by ` + `, e.g.
 ``1.0*e_1 + 2.0i*e_23``; a scalar term is a bare number, a blade with an
@@ -90,39 +90,10 @@ def multivector_from_text(sig: Signature, text: str) -> Multivector:
     return Multivector(sig, coeffs)
 
 
-def multivector_to_json(mv: Multivector) -> dict:
-    return {
-        "sig": [mv.sig.p, mv.sig.q],
-        "terms": [
-            {
-                "blade": _mask_indices(mask),
-                "re": float(mv.coeffs[mask].real),
-                "im": float(mv.coeffs[mask].imag),
-            }
-            for mask in sorted(mv.coeffs)
-        ],
-    }
-
-
-def multivector_from_json(doc: dict) -> Multivector:
-    sig = Signature(*doc["sig"])
-    coeffs: dict[int, complex] = {}
-    for term in doc["terms"]:
-        mask = 0
-        for i in term["blade"]:
-            mask |= 1 << (i - 1)
-        coeffs[mask] = coeffs.get(mask, 0.0) + complex(term["re"], term["im"])
-    return Multivector(sig, coeffs)
-
-
 def matrix_to_json(m: np.ndarray) -> list:
     """Row-major nested lists of [re, im] pairs."""
     m = np.asarray(m, dtype=np.complex128)
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-
-def matrix_from_json(rows: list) -> np.ndarray:
-    return np.array([[complex(re_, im_) for re_, im_ in row] for row in rows])
 
 
 def payload_to_json(payload) -> str:

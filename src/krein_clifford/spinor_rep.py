@@ -315,7 +315,7 @@ def sigma_compatible_product(beta: np.ndarray, g: GammaSet, b: AdmissibleRealStr
     """Krein form making rho(a^{x_sigma}) the adjoint of rho(a)."""
     # b^2 = lam = +/-1, so rho(b)^-1 = lam rho(b) and (i rho(b))^-1 = -i lam rho(b)
     B = represent(g, b.b)
-    mat = beta @ (b.lam * B if b.lam_prime == 1 else -1j * b.lam * B)
+    mat = beta @ (b.lam * B if b.alpha == 1 else -1j * b.lam * B)
     if np.abs(mat - mat.conj().T).max() > 1e-10 * np.abs(mat).max():
         raise RepresentationError("rotated Krein form is not hermitian")
     return 0.5 * (mat + mat.conj().T)

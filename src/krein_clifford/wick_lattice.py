@@ -20,7 +20,7 @@ the target signature's operator directly, and returns the four residuals
 Rotation, adjoints and residuals act on the blocks.  The operators commute
 with the lattice shifts by construction, so a spectrum is the union of the
 eigenvalues of the d x d plane-wave blocks, written in closed form: no FFT
-and no shift check.  Only `FieldOperator.matrix`, for the exports and the
+and no shift check.  Only `FieldOperator.matrix`, for the text export and the
 test oracles, assembles a sparse matrix and loads scipy.
 """
 
@@ -227,21 +227,6 @@ def export_coo_text(D: FieldOperator) -> str:
         for i in idx
     ]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def export_coo_json(D: FieldOperator) -> dict:
-    coo = D.matrix.tocoo()
-    idx = np.lexsort((coo.col, coo.row))
-    return {
-        "shape": list(coo.shape),
-        "sig": [D.spec.sig.p, D.spec.sig.q],
-        "sites_per_dim": D.spec.sites_per_dim,
-        "spacing": D.spec.spacing,
-        "entries": [
-            [int(coo.row[i]), int(coo.col[i]), float(coo.data[i].real), float(coo.data[i].imag)]
-            for i in idx
-        ],
-    }
 
 
 def flat_dirac_package(sig: Signature, sites: int, spacing: float = 1.0):

@@ -1,6 +1,8 @@
 """Algebra layer: products, involutions, traces, real structures and the
 sigma-product, with eigenvalue-level oracles for the inertia reports."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,6 +104,29 @@ def test_overflowing_product_is_refused():
     a = 1e300 * (Multivector.unit(sig) + Multivector.blade(sig, [1, 2]))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
         a * a
+
+
+def test_is_scalar_with_a_coefficient_near_the_float_maximum():
+    a = Multivector(Signature(2, 0), {1: complex(1.7e308, 1.7e308)})
+    assert not a.is_scalar()
+    with pytest.raises(ValueError, match="^not a scalar multivector$"):
+        a.scalar_value()
+
+
+def test_few_term_product_at_n20_stays_sparse():
+    # a dense accumulator would take 2^20 complex entries, 16 MB
+    sig = Signature(10, 10)
+    a = Multivector.basis_vector(sig, 1) + Multivector.basis_vector(sig, 20)
+    b = Multivector.blade(sig, [2, 19])
+    tracemalloc.start()
+    try:
+        prod = a * b
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # e_1 e_2 e_19 is already ordered; e_20 moves past two generators
+    assert prod.coeffs == {(1 << 0) | (1 << 1) | (1 << 18): 1.0, (1 << 1) | (1 << 18) | (1 << 19): 1.0}
 
 
 # -- involutions and traces --------------------------------------------

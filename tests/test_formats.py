@@ -1,4 +1,4 @@
-"""Serialization round trips for multivectors and matrices."""
+"""Text round trips for multivectors and the JSON payload writer."""
 
 import json
 
@@ -10,11 +10,8 @@ from hypothesis import strategies as st
 from krein_clifford.clifford_core import Multivector, Signature
 from krein_clifford.formats import (
     format_complex,
-    matrix_from_json,
     matrix_to_json,
-    multivector_from_json,
     multivector_from_text,
-    multivector_to_json,
     multivector_to_text,
     payload_to_json,
 )
@@ -103,21 +100,6 @@ def test_text_round_trip_random(seed, nterms):
     mv = Multivector(sig, coeffs)
     back = multivector_from_text(sig, multivector_to_text(mv))
     assert (back - mv).norm_max() < 1e-12
-
-
-def test_json_round_trip(rng):
-    sig = Signature(2, 2)
-    mv = Multivector.from_dense(sig, rng.normal(size=16) + 1j * rng.normal(size=16))
-    doc = multivector_to_json(mv)
-    assert doc["sig"] == [2, 2]
-    back = multivector_from_json(doc)
-    assert (back - mv).norm_max() < 1e-15
-
-
-def test_matrix_round_trip(rng):
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    back = matrix_from_json(matrix_to_json(m))
-    assert np.abs(back - m).max() < 1e-15
 
 
 def _dumps(payload):

@@ -97,6 +97,21 @@ def test_representation_is_homomorphism(rng):
         assert np.abs(represent(g, a + b) - represent(g, a) - represent(g, b)).max() < 1e-12
 
 
+@pytest.mark.parametrize("p", [6, 8])
+def test_products_above_the_sign_table_cap_are_represented(rng, p):
+    # n = 12 and 16 lie above MAX_TABLE_N, so no sign table is at hand
+    sig = Signature(p, p)
+    g = build_gammas(sig)
+
+    def four_terms():
+        masks = rng.choice(1 << sig.n, size=4, replace=False)
+        return Multivector(sig, {int(m): complex(*rng.normal(size=2)) for m in masks})
+
+    for _ in range(5):
+        a, b = four_terms(), four_terms()
+        assert np.abs(represent(g, a * b) - represent(g, a) @ represent(g, b)).max() < 1e-12
+
+
 def test_representation_faithful_dimension():
     # blades map to linearly independent matrices when 2^n = dim^2
     sig = Signature(1, 3)

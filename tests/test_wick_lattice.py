@@ -2,7 +2,6 @@
 round trips, and the export formats."""
 
 import itertools
-import json
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +17,6 @@ from krein_clifford.wick_lattice import (
     anticommutation_residual,
     build_flat_dirac,
     build_fundamental_symmetry,
-    export_coo_json,
     export_coo_text,
     flat_dirac_package,
     inverse_wick,
@@ -284,12 +282,6 @@ def test_export_formats():
     # rows are lexicographically sorted by (row, col)
     keys = [(int(l.split()[0]), int(l.split()[1])) for l in lines]
     assert keys == sorted(keys)
-
-    doc = export_coo_json(D)
-    assert doc["shape"] == [18, 18]
-    assert doc["sig"] == [1, 1]
-    assert len(doc["entries"]) == coo.nnz
-    json.dumps(doc)  # must be serializable
 
 
 def test_export_text_matches_golden():
