@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -187,13 +188,13 @@ class Multivector:
         return Multivector(self.sig, {k: z * v for k, v in self._coeffs.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return other * self
-        self._check_sig(other)
-        if not self._coeffs or not other._coeffs:
-            return Multivector(self.sig)
-        a, b = self._coeffs, other._coeffs
-        return Multivector(self.sig, gp_dense(a.keys(), a.values(), b.keys(), b.values(), self.sig.p))
+        if isinstance(other, Multivector):
+            self._check_sig(other)
+            if not self._coeffs or not other._coeffs:
+                return Multivector(self.sig)
+            a, b = self._coeffs, other._coeffs
+            return Multivector(self.sig, gp_dense(a.keys(), a.values(), b.keys(), b.values(), self.sig.p))
+        return self.__rmul__(other) if isinstance(other, numbers.Number) else NotImplemented
 
     def reversal(self) -> "Multivector":
         return Multivector(
@@ -256,15 +257,14 @@ class AdmissibleRealStructure:
 
     Encoded by a real normalized Clifford-group element b: the structure
     acts as a |-> b * conj(a) * b^{-1}.  ``lam`` is the sign b^2 = lam,
-    ``alpha`` the sign b^T = alpha * b, which for real b is also the sign
-    in b^x = alpha * b.
+    so b^{-1} = lam * b, and ``alpha`` the sign b^T = alpha * b, which for
+    real b is also the sign in b^x = alpha * b.
     """
 
-    __slots__ = ("b", "b_inv", "lam", "alpha")
+    __slots__ = ("b", "lam", "alpha")
 
-    def __init__(self, b: Multivector, b_inv: Multivector, lam: int, alpha: int):
+    def __init__(self, b: Multivector, lam: int, alpha: int):
         self.b = b
-        self.b_inv = b_inv
         self.lam = lam
         self.alpha = alpha
 
@@ -272,11 +272,14 @@ class AdmissibleRealStructure:
     def sig(self) -> Signature:
         return self.b.sig
 
+    @property
+    def b_inv(self) -> Multivector:
+        return self.lam * self.b
+
     @classmethod
     def canonical(cls, sig: Signature) -> "AdmissibleRealStructure":
         """The background structure itself (b = 1)."""
-        one = Multivector.unit(sig)
-        return cls(one, one, 1, 1)
+        return cls(Multivector.unit(sig), 1, 1)
 
     def apply(self, a: Multivector) -> Multivector:
         return self.b * a.conjugate() * self.b_inv
@@ -289,8 +292,7 @@ def make_real_structure(b_raw: Multivector) -> AdmissibleRealStructure:
     """Normalize a Clifford-group element into an admissible real structure.
 
     Requires conj(b_raw) proportional to b_raw by a phase; the returned b
-    is real with b^2 = +/-1, the sign ambiguity resolved by making the
-    largest-magnitude coefficient of b real positive.
+    is real with b^2 = +/-1 and its largest-magnitude coefficient positive.
     """
     sig = b_raw.sig
     if not b_raw.coeffs:
@@ -300,39 +302,27 @@ def make_real_structure(b_raw: Multivector) -> AdmissibleRealStructure:
     shift = -math.frexp(top)[1]
     b_raw = Multivector(sig, {k: complex(math.ldexp(z.real, shift), math.ldexp(z.imag, shift))
                               for k, z in b_raw.coeffs.items()})
-    scale = b_raw.norm_max()
 
-    # admissibility: conj(b) = e^{i theta} b
-    kmax = max(b_raw.coeffs, key=lambda k: abs(b_raw[k]))
-    phase2 = (b_raw[kmax].conjugate() / b_raw[kmax])
-    if abs((b_raw.conjugate() - phase2 * b_raw).norm_max()) > ADMISSIBLE_TOL * scale:
+    # dividing by the largest coefficient makes it +1; the quotient is real
+    # exactly when conj(b) = e^{i theta} b
+    lead = max(b_raw.coeffs.values(), key=abs)
+    b1 = Multivector(sig, {k: v / lead for k, v in b_raw.coeffs.items()})
+    if not b1.is_real(0.5 * ADMISSIBLE_TOL):
         raise NotAdmissible("conj(b) is not proportional to b by a phase")
-
-    # rotate to a real representative; either square root of the phase
-    # serves, since the other only negates b, and the sign is fixed below
-    b1 = complex(np.sqrt(phase2)) * b_raw
-    if not b1.is_real(ADMISSIBLE_TOL * scale):
-        raise NotAdmissible("phase normalization failed")
     b1 = Multivector(sig, {k: v.real for k, v in b1.coeffs.items()})
 
     sq = b1 * b1
-    if not sq.is_scalar(ADMISSIBLE_TOL * scale * scale):
+    if not sq.is_scalar(ADMISSIBLE_TOL):
         raise NotInCliffordGroup("b * conj(b) is not a scalar")
-    lam_val = sq.scalar_value(ADMISSIBLE_TOL * scale * scale).real
-    if abs(lam_val) <= ADMISSIBLE_TOL * scale * scale:
+    lam_val = sq[0].real
+    if abs(lam_val) <= ADMISSIBLE_TOL:
         raise NotInCliffordGroup("b is not invertible")
     b = (1.0 / np.sqrt(abs(lam_val))) * b1
-
-    # resolve the residual +/- ambiguity deterministically
-    kmax = max(b.coeffs, key=lambda k: abs(b[k]))
-    if b[kmax].real < 0:
-        b = -b
     lam = 1 if lam_val > 0 else -1
-    b_inv = (1.0 / lam) * b
 
     # Clifford-group membership: Ad_b must stabilize grade 1
     for i in range(1, sig.n + 1):
-        image = b * Multivector.basis_vector(sig, i) * b_inv
+        image = b * Multivector.basis_vector(sig, i) * (lam * b)
         if not image.grades() <= {1}:
             raise NotInCliffordGroup(f"Ad_b does not preserve grade 1 on e_{i}")
 
@@ -343,7 +333,7 @@ def make_real_structure(b_raw: Multivector) -> AdmissibleRealStructure:
         alpha = -1
     else:
         raise NotInCliffordGroup("b is not proportional to its reversal")
-    return AdmissibleRealStructure(b, b_inv, lam, alpha)
+    return AdmissibleRealStructure(b, lam, alpha)
 
 
 def make_sigma_from_vector(v: Multivector, graded: bool = False) -> AdmissibleRealStructure:

@@ -1,18 +1,17 @@
 """Signature characterization through Krein products on spinors.
 
-Light-cone membership of a vector is decided by the definiteness of the
-hermitian form beta * rho(v)^{-1} (or its volume-element variant in the
-Lorentzian case), and compared against the direct sign of Q(v).  Both
+Light-cone membership of a vector v is decided by the definiteness of the
+Krein form rotated by the reflection structure of v (b = v, or omega v in
+the Lorentzian case), and compared against the direct sign of Q(v).  Both
 read v scaled by 1/max|v_i|, so the verdict is the same for every positive
-multiple of v; non-finite components are refused.  Also here:
-Krein-positivity of operators, half-spinor neutrality for spacelike
-vectors, and the extraction of the dominant timelike vector from a
-Krein-positive odd element.
+multiple of v; non-finite components are refused.  Also here, reading
+g.beta and g.chi off the `GammaSet`: Krein-positivity of operators,
+half-spinor neutrality for spacelike vectors, and the extraction of the
+dominant timelike vector from a Krein-positive odd element.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +21,11 @@ from .clifford_core import (
     FormSignatureReport,
     Multivector,
     Signature,
+    _reversal_sign,
     hermitian_inertia,
     quadratic_form,
 )
-from .spinor_rep import GammaSet, represent
+from .spinor_rep import GammaSet, represent, rotated_krein_form
 
 NEAR_NULL_REL_TOL = 1e-9
 
@@ -116,18 +116,17 @@ def _unit_coords(sig: Signature, v) -> np.ndarray:
 
 def _cone_form(g: GammaSet, beta: np.ndarray, x: np.ndarray, qx: float) -> np.ndarray:
     """The hermitian matrix whose definiteness decides cone membership of
-    the vector with coordinates x and Q(x) = qx, built from the gamma stack."""
+    the vector v with coordinates x and Q(v) = qx: beta rotated by b = v
+    (anti-Lorentz) or b = omega v (Lorentz), built from the gamma stack."""
     sig = g.sig
     rho = np.tensordot(x, g.gammas, 1)
     if _case_of(sig) == "antilorentz":
-        return beta @ (rho / qx)  # rho(v)^{-1} = rho(v)/Q(v)
-    # rho(omega v) = rho(omega) rho(v) and (omega v)^2 = -omega^2 Q(v),
-    # with omega^2 = (-1)^(n(n-1)/2 + q)
+        return rotated_krein_form(beta, rho, qx, 1)
+    # rho(omega) = chi / (-i)^(n/2 + q), (omega v)^2 = -omega^2 Q(v) with
+    # omega^2 = (-1)^(n(n-1)/2 + q), and omega v has grade n - 1
+    rho_omega = g.chi / (-1j) ** (sig.n // 2 + sig.q)
     omega2 = (-1) ** (sig.n * (sig.n - 1) // 2 + sig.q)
-    A = functools.reduce(np.matmul, g.gammas) @ rho / (-omega2 * qx)
-    if sig.n % 8 in (0, 4):
-        A = -1j * A  # (i rho(omega v))^{-1}
-    return beta @ A
+    return rotated_krein_form(beta, rho_omega @ rho, -omega2 * qx, _reversal_sign(sig.n - 1))
 
 
 def cone_test(sig: Signature, g: GammaSet, beta: np.ndarray, v) -> ConeVerdict:
@@ -175,9 +174,7 @@ def krein_positive(beta: np.ndarray, A: np.ndarray) -> bool:
     return report.classification == "positive_definite"
 
 
-def half_spinor_neutrality(
-    beta: np.ndarray, chi: np.ndarray, g: GammaSet, w
-) -> dict:
+def half_spinor_neutrality(g: GammaSet, w) -> dict:
     """For spacelike w, (.,rho(w).) is neutral on each half-spinor module."""
     sig = g.sig
     if sig.n == 2:
@@ -185,9 +182,9 @@ def half_spinor_neutrality(
     w = _as_vector(sig, w)
     if cone_membership_oracle(sig, w) != "spacelike":
         raise ValueError("w is not spacelike")
-    H = beta @ represent(g, w)
+    H = g.beta @ represent(g, w)
     # chi is hermitian with chi^2=I: its eigenvectors split the spinor space
-    vals, vecs = np.linalg.eigh(0.5 * (chi + chi.conj().T))
+    vals, vecs = np.linalg.eigh(0.5 * (g.chi + g.chi.conj().T))
     plus = vecs[:, vals > 0]
     minus = vecs[:, vals < 0]
     cross_block = plus.conj().T @ H @ minus
@@ -202,24 +199,22 @@ def half_spinor_neutrality(
     }
 
 
-def chi_shifted_positivity(
-    beta: np.ndarray, chi: np.ndarray, g: GammaSet, u, v
-) -> tuple[bool, bool]:
+def chi_shifted_positivity(g: GammaSet, u, v) -> tuple[bool, bool]:
     """rho(u) + chi*rho(v) is Krein-positive iff u+v and u-v are future timelike."""
     sig = g.sig
     if sig.n == 2:
         raise ValueError("n=2 is excluded")
     u = _as_vector(sig, u)
     v = _as_vector(sig, v)
-    A = represent(g, u) + chi @ represent(g, v)
+    A = represent(g, u) + g.chi @ represent(g, v)
     try:
-        kp = krein_positive(beta, A)
+        kp = krein_positive(g.beta, A)
     except NonHermitianError:
         kp = False
 
     def future(x: Multivector) -> bool:
         try:
-            verdict = cone_test(sig, g, beta, x)
+            verdict = cone_test(sig, g, g.beta, x)
         except ValueError:
             return False
         return verdict.in_cone and verdict.component == "future"

@@ -2,9 +2,9 @@
 
 Gamma matrices are built from a deterministic tensor ladder of 2x2 blocks:
 the Euclidean generators are hermitian and square to +1, and the last q of
-them are multiplied by i.  On top of that sit the compatible Krein form,
-the charge conjugation operators (ungraded and graded), and the sign
-tables classifying their squares and adjoints.
+them are multiplied by i.  On top of that sit the compatible Krein form
+and its rotation by a real structure (`rotated_krein_form`), the charge
+conjugation C (graded: chi C) and the signs of their squares and adjoints.
 
 Every spinor-space operator is a d x d ndarray: the antilinear charge
 conjugation is its matrix C, acting as psi -> C conj(psi), and two
@@ -18,8 +18,9 @@ are new per call.  The spinor structures of a signature are built per
 (chirality) and `g.charge_conjugation` (C, eps_tilde, kappa_tilde) are
 built on first access, once per `GammaSet`, through `build_krein_form`,
 `chirality` and `build_charge_conjugation`, and are never shared between
-two `build_gammas` calls.  `positive_sigma_product(g, b)` is the
-sigma-compatible product oriented to be positive definite.
+two `build_gammas` calls; the functions that need them take the
+`GammaSet`.  `positive_sigma_product(g, b)` is the sigma-compatible
+product oriented to be positive definite.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .clifford_core import (
     AdmissibleRealStructure,
     Multivector,
     Signature,
+    hermitian_inertia,
     volume_element,
 )
 
@@ -95,7 +97,7 @@ class GammaSet:
 
     @cached_property
     def charge_conjugation(self) -> tuple[np.ndarray, int, int]:
-        return build_charge_conjugation(self, self.beta)
+        return build_charge_conjugation(self)
 
 
 def build_gammas(sig: Signature) -> GammaSet:
@@ -215,7 +217,7 @@ def _antilinear_signs(C: np.ndarray, beta: np.ndarray, name: str) -> tuple[int, 
     return eps, _sign_of(_scalar_of(antilinear_adjoint(beta, C) @ C.conj(), what), what)
 
 
-def build_charge_conjugation(g: GammaSet, beta: np.ndarray) -> tuple[np.ndarray, int, int]:
+def build_charge_conjugation(g: GammaSet) -> tuple[np.ndarray, int, int]:
     """Matrix C of the antilinear psi -> C conj(psi) with C gamma_i C^-1 = gamma_i.
 
     Every ladder generator is real or imaginary, so the matrix of C is the
@@ -224,10 +226,10 @@ def build_charge_conjugation(g: GammaSet, beta: np.ndarray) -> tuple[np.ndarray,
     anticommutes with the imaginary ones (checked, not assumed).
 
     Returns (C, eps_tilde, kappa_tilde) with C^2 = eps_tilde and
-    C^x C = kappa_tilde.  C is a product of unitary gammas, so its square
-    is a unit sign with no rescaling (`_antilinear_signs` refuses any
-    other); the residual phase is fixed by the first nonzero entry of the
-    matrix.
+    C^x C = kappa_tilde for g.beta, read after the intertwining check.  C
+    is a product of unitary gammas, so its square is a unit sign with no
+    rescaling (`_antilinear_signs` refuses any other); the residual phase
+    is fixed by the first nonzero entry of the matrix.
     """
     imag = [np.abs(gam.real).max() < 1e-12 for gam in g.gammas]
     pick = sum(imag) % 2 == 0
@@ -239,12 +241,7 @@ def build_charge_conjugation(g: GammaSet, beta: np.ndarray) -> tuple[np.ndarray,
     flat = m.ravel()
     lead = flat[np.flatnonzero(np.abs(flat) > 1e-12 * np.abs(flat).max())[0]]
     m = m / lead * abs(lead)
-    return m, *_antilinear_signs(m, beta, "C")
-
-
-def graded_charge_conjugation(C: np.ndarray, chi: np.ndarray) -> np.ndarray:
-    """Matrix of the antilinear chi C: psi -> chi C conj(psi)."""
-    return chi @ C
+    return m, *_antilinear_signs(m, g.beta, "C")
 
 
 def commutation_sign(C: np.ndarray, chi: np.ndarray) -> int:
@@ -294,7 +291,7 @@ def ko_signs(sig: Signature, case: str) -> KOSigns:
     g = build_gammas(sig)
     C, eps_tilde, kappa_tilde = g.charge_conjugation
     eps_dprime = commutation_sign(C, g.chi)
-    eps, kappa = _antilinear_signs(graded_charge_conjugation(C, g.chi), g.beta, "J")
+    eps, kappa = _antilinear_signs(g.chi @ C, g.beta, "J")  # J = chi C
     if eps_tilde != eps_dprime * eps:
         raise RepresentationError("graded/ungraded square signs are inconsistent")
     expected_kappa = kappa_tilde if case == "euclidean" else -kappa_tilde
@@ -311,11 +308,17 @@ def ko_signs(sig: Signature, case: str) -> KOSigns:
     )
 
 
-def sigma_compatible_product(beta: np.ndarray, g: GammaSet, b: AdmissibleRealStructure) -> np.ndarray:
+def rotated_krein_form(beta: np.ndarray, B: np.ndarray, square: float, alpha: int) -> np.ndarray:
+    """beta rotated by the real Clifford-group element b with rho(b) = B,
+    b^2 = square and b^x = alpha b: the hermitian beta rho(b)^{-1}, or
+    beta (i rho(b))^{-1} = -i beta rho(b)^{-1} when alpha = -1."""
+    mat = beta @ (B / square)
+    return mat if alpha == 1 else -1j * mat
+
+
+def sigma_compatible_product(g: GammaSet, b: AdmissibleRealStructure) -> np.ndarray:
     """Krein form making rho(a^{x_sigma}) the adjoint of rho(a)."""
-    # b^2 = lam = +/-1, so rho(b)^-1 = lam rho(b) and (i rho(b))^-1 = -i lam rho(b)
-    B = represent(g, b.b)
-    mat = beta @ (b.lam * B if b.alpha == 1 else -1j * b.lam * B)
+    mat = rotated_krein_form(g.beta, represent(g, b.b), b.lam, b.alpha)
     if np.abs(mat - mat.conj().T).max() > 1e-10 * np.abs(mat).max():
         raise RepresentationError("rotated Krein form is not hermitian")
     return 0.5 * (mat + mat.conj().T)
@@ -323,12 +326,12 @@ def sigma_compatible_product(beta: np.ndarray, g: GammaSet, b: AdmissibleRealStr
 
 def positive_sigma_product(g: GammaSet, b: AdmissibleRealStructure) -> np.ndarray:
     """The sigma-compatible product of g.beta, signed to be positive
-    definite; refuses a b whose product is indefinite (not Euclidean)."""
-    mat = sigma_compatible_product(g.beta, g, b)
-    w = np.linalg.eigvalsh(mat)
-    if w[-1] < 0:
+    definite; refuses a b whose product is not definite (not Euclidean)."""
+    mat = sigma_compatible_product(g, b)
+    definiteness = hermitian_inertia(mat).classification
+    if definiteness == "negative_definite":
         return -mat
-    if w[0] < 0:
+    if definiteness != "positive_definite":
         raise RepresentationError("sigma-compatible form is not definite; b is not Euclidean")
     return mat
 

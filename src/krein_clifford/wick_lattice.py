@@ -124,12 +124,9 @@ def build_flat_dirac(spec: LatticeSpec, g: GammaSet) -> FieldOperator:
 
 
 def build_fundamental_symmetry(g: GammaSet, b: AdmissibleRealStructure) -> np.ndarray:
-    """The site block B = rho(b); requires b normalized so that B^2 = I."""
-    B = represent(g, b.b)
-    sq = B @ B
-    if np.abs(sq + np.eye(g.dim)).max() <= 1e-10:
-        B = 1j * B  # b^2 = -1: the involutive symmetry is i*rho(b)
-    elif np.abs(sq - np.eye(g.dim)).max() > 1e-10:
+    """The site block B = rho(b), or i rho(b) when b^2 = -1, so that B^2 = I."""
+    B = represent(g, b.b) if b.lam == 1 else 1j * represent(g, b.b)
+    if np.abs(B @ B - np.eye(g.dim)).max() > 1e-10:
         raise ValueError("rho(b)^2 != +/-I; b is not a valid fundamental symmetry")
     return B
 

@@ -97,7 +97,7 @@ def test_criterion_3_spinor_form_alternative(capsys):
             assert rep.classification == "positive_definite", sig
         else:
             assert rep.classification == "neutral", sig
-        beta_sigma = sr.sigma_compatible_product(beta, g, euclidean_structure(sig))
+        beta_sigma = sr.sigma_compatible_product(g, euclidean_structure(sig))
         assert hermitian_inertia(beta_sigma).is_definite, sig
     report(capsys, "PASS criterion 3: spinor form neutral for sigma=c, definite after rotation")
 
@@ -188,14 +188,12 @@ def test_criterion_7_krein_positivity_lemmas(capsys):
     for pq in [(1, 3), (1, 5)]:
         sig = Signature(*pq)
         g = sr.build_gammas(sig)
-        beta = sr.build_krein_form(g)
-        chi = sr.chirality(g)
         for _ in range(500):
             u = Multivector.from_vector(
                 sig, [4.0 + abs(rng.normal()), *rng.normal(size=sig.n - 1)]
             )
             v = Multivector.from_vector(sig, rng.normal(size=sig.n))
-            kp, fut = sd.chi_shifted_positivity(beta, chi, g, u, v)
+            kp, fut = sd.chi_shifted_positivity(g, u, v)
             assert kp == fut, (pq, u, v)
 
     # necessity: the dominant vector of a Krein-positive element is future
@@ -224,14 +222,12 @@ def test_criterion_7_krein_positivity_lemmas(capsys):
     for pq in [(1, 3), (1, 5)]:
         sig = Signature(*pq)
         g = sr.build_gammas(sig)
-        beta = sr.build_krein_form(g)
-        chi = sr.chirality(g)
         done = 0
         while done < 50:
             w = rng.normal(size=sig.n)
             if sd.cone_membership_oracle(sig, w) != "spacelike":
                 continue
-            rep = sd.half_spinor_neutrality(beta, chi, g, w)
+            rep = sd.half_spinor_neutrality(g, w)
             assert rep["cross_norm"] <= 1e-9
             assert rep["both_neutral"]
             done += 1

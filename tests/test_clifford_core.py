@@ -113,6 +113,14 @@ def test_is_scalar_with_a_coefficient_near_the_float_maximum():
         a.scalar_value()
 
 
+def test_scaling_by_numpy_scalars_and_refusing_other_operands():
+    e = Multivector.basis_vector(Signature(1, 1), 1)
+    for z in (np.int64(2), np.float32(2.0), np.complex128(2.0), 2):
+        assert (e * z).coeffs == (z * e).coeffs == {1: 2.0}, type(z)
+    with pytest.raises(TypeError):
+        e * "x"
+
+
 def test_few_term_product_at_n20_stays_sparse():
     # a dense accumulator would take 2^20 complex entries, 16 MB
     sig = Signature(10, 10)
@@ -197,6 +205,18 @@ def test_make_real_structure_examples():
         for theta in np.linspace(-np.pi, np.pi, 25):
             b = make_real_structure(np.exp(1j * theta) * blade).b
             assert (b - blade).norm_max() < 1e-12, (indices, theta)
+    # and every phase of a sum of blades gives the structure the sum gives
+    v = 0.6 * Multivector.basis_vector(sig, 1) + 0.8 * Multivector.basis_vector(sig, 2)
+    s0 = make_real_structure(v)
+    for theta in np.linspace(1.0, 3.0, 25):
+        st = make_real_structure(np.exp(1j * theta) * v)
+        assert (st.b - s0.b).norm_max() < 1e-12 and (st.lam, st.alpha) == (s0.lam, s0.alpha), theta
+
+
+def test_b_inv_inverts_b():
+    for sig in SIGS:
+        sigma = euclidean_structure(sig)
+        assert (sigma.b * sigma.b_inv).approx_eq(Multivector.unit(sig)), sig
 
 
 def test_make_real_structure_rejections():

@@ -4,7 +4,13 @@ direct sign of the quadratic form, plus the Krein-positivity lemmas."""
 import numpy as np
 import pytest
 
-from krein_clifford.clifford_core import Multivector, Signature, quadratic_form, volume_element
+from krein_clifford.clifford_core import (
+    Multivector,
+    Signature,
+    make_sigma_from_vector,
+    quadratic_form,
+    volume_element,
+)
 from krein_clifford.signature_detect import (
     NEAR_NULL_REL_TOL,
     NonHermitianError,
@@ -21,8 +27,8 @@ from krein_clifford.signature_detect import (
 from krein_clifford.spinor_rep import (
     build_gammas,
     build_krein_form,
-    chirality,
     represent,
+    sigma_compatible_product,
 )
 
 LORENTZ_LIKE = [Signature(1, 3), Signature(3, 1), Signature(1, 5), Signature(5, 1)]
@@ -155,6 +161,30 @@ def test_closed_form_cone_form_matches_products(sig):
     assert kinds == {"future", "past", "none"}
 
 
+@pytest.mark.parametrize("sig", LORENTZ_LIKE, ids=lambda s: f"{s.p}{s.q}")
+def test_cone_form_is_the_sigma_compatible_product_of_v(sig):
+    # the sign of the multiple follows the sign make_real_structure picks
+    # for b, which is why cone_test calibrates the future sign itself
+    g, beta = _setup(sig)
+    rng = np.random.default_rng(7 * sig.p + sig.q)
+    lorentz = sig.q == 1
+    t = sig.n - 1 if lorentz else 0
+    kinds = set()
+    for _ in range(20):
+        x = rng.normal(size=sig.n)
+        x[t] *= rng.uniform(0.1, 2.0) * np.sqrt(sig.n)
+        v = Multivector.from_vector(sig, x)
+        qx = quadratic_form(v).real
+        form = _cone_form(g, beta, x, qx)
+        product = sigma_compatible_product(g, make_sigma_from_vector(v, graded=lorentz))
+        k = np.abs(product).argmax()
+        ratio = form.flat[k] / product.flat[k]
+        assert abs(ratio.imag) <= 1e-12 * abs(ratio) and ratio != 0
+        assert np.abs(form - ratio.real * product).max() <= 1e-12 * np.abs(form).max()
+        kinds.add(cone_membership_oracle(sig, x))
+    assert kinds == {"timelike", "spacelike"}
+
+
 @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e200])
 @pytest.mark.parametrize("sig", [Signature(1, 3), Signature(3, 1), Signature(7, 1)], ids=lambda s: f"{s.p}{s.q}")
 def test_cone_verdict_is_invariant_under_positive_scaling(sig, scale):
@@ -233,14 +263,13 @@ def test_krein_positive_examples():
 
 def test_chi_shifted_positivity_equivalence():
     sig = Signature(1, 3)
-    g, beta = _setup(sig)
-    chi = chirality(g)
+    g, _ = _setup(sig)
     rng = np.random.default_rng(11)
     positives = 0
     for _ in range(200):
         u = Multivector.from_vector(sig, [4 + abs(rng.normal()), *rng.normal(size=3)])
         v = Multivector.from_vector(sig, rng.normal(size=4))
-        kp, fut = chi_shifted_positivity(beta, chi, g, u, v)
+        kp, fut = chi_shifted_positivity(g, u, v)
         assert kp == fut
         positives += kp
     assert positives > 100  # the sampler hits both branches
@@ -248,22 +277,21 @@ def test_chi_shifted_positivity_equivalence():
 
 def test_chi_shifted_positivity_excludes_n2():
     sig = Signature(1, 1)
-    g, beta = _setup(sig)
+    g, _ = _setup(sig)
     with pytest.raises(ValueError):
-        chi_shifted_positivity(beta, chirality(g), g, [1.0, 0.0], [0.0, 0.0])
+        chi_shifted_positivity(g, [1.0, 0.0], [0.0, 0.0])
 
 
 def test_half_spinor_neutrality_spacelike():
     sig = Signature(1, 3)
-    g, beta = _setup(sig)
-    chi = chirality(g)
+    g, _ = _setup(sig)
     rng = np.random.default_rng(5)
     done = 0
     while done < 25:
         w = rng.normal(size=4)
         if cone_membership_oracle(sig, w) != "spacelike":
             continue
-        rep = half_spinor_neutrality(beta, chi, g, w)
+        rep = half_spinor_neutrality(g, w)
         assert rep["cross_norm"] < 1e-9
         assert rep["both_neutral"]
         done += 1
@@ -271,9 +299,9 @@ def test_half_spinor_neutrality_spacelike():
 
 def test_half_spinor_neutrality_rejects_timelike():
     sig = Signature(1, 3)
-    g, beta = _setup(sig)
+    g, _ = _setup(sig)
     with pytest.raises(ValueError):
-        half_spinor_neutrality(beta, chirality(g), g, [1.0, 0.0, 0.0, 0.0])
+        half_spinor_neutrality(g, [1.0, 0.0, 0.0, 0.0])
 
 
 def test_dominant_vector_extraction():

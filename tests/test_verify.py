@@ -1,4 +1,11 @@
-"""The self-check suites behind the `verify` CLI verb."""
+"""The self-check suites behind the `verify` CLI verb.
+
+Each suite runs for real once, at seed 0, in `test_golden.py`, which pins
+every check's name, `ok` and detail; here the goldens are checked to cover
+every suite with every check passing."""
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,14 +13,22 @@ import pytest
 from krein_clifford import verify as vf
 from krein_clifford.verify import SUITES, run_suite
 
+GOLDEN = Path(__file__).parent / "golden"
 
-@pytest.mark.parametrize("suite", [s for s in SUITES if s != "all"])
-def test_suite_passes(suite):
-    results = run_suite(suite, seed=0)
-    assert results
-    for name, ok, detail in results:
-        assert ok, f"{name}: {detail}"
-        assert name.startswith(f"{suite}.")
+
+def test_every_suite_is_pinned_by_a_passing_golden():
+    pinned = set()
+    for path in GOLDEN.glob("verify*.json"):
+        for rec in json.loads(path.read_text()):
+            assert rec["argv"][:2] == ["verify", "--suite"] and rec["rc"] == 0, path
+            suite = rec["argv"][2]
+            pinned.add(suite)
+            doc = rec["stdout"]
+            assert doc["suite"] == suite and doc["status"] == "ok" and doc["results"], suite
+            for check in doc["results"]:
+                assert check["ok"], check
+                assert check["name"].startswith(f"{suite}."), check
+    assert pinned == set(SUITES) - {"all"}
 
 
 def test_unknown_suite_rejected():
@@ -22,7 +37,7 @@ def test_unknown_suite_rejected():
 
 
 def test_all_suite_aggregates(monkeypatch):
-    # test_suite_passes runs every suite for real; here each runner is a stub
+    # the goldens run every suite for real; here each runner is a stub
     # whose `ok` is a numpy.bool_, which json cannot serialize
     for suite in ("core", "spinor", "cone", "wick", "ideals"):
         monkeypatch.setattr(vf, f"run_{suite}", lambda seed: [("check", np.bool_(True), "")])
