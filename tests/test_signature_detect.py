@@ -263,7 +263,7 @@ def test_krein_positive_examples():
 
 def test_chi_shifted_positivity_equivalence():
     sig = Signature(1, 3)
-    g, _ = _setup(sig)
+    g = build_gammas(sig)
     rng = np.random.default_rng(11)
     positives = 0
     for _ in range(200):
@@ -277,14 +277,14 @@ def test_chi_shifted_positivity_equivalence():
 
 def test_chi_shifted_positivity_excludes_n2():
     sig = Signature(1, 1)
-    g, _ = _setup(sig)
+    g = build_gammas(sig)
     with pytest.raises(ValueError):
         chi_shifted_positivity(g, [1.0, 0.0], [0.0, 0.0])
 
 
 def test_half_spinor_neutrality_spacelike():
     sig = Signature(1, 3)
-    g, _ = _setup(sig)
+    g = build_gammas(sig)
     rng = np.random.default_rng(5)
     done = 0
     while done < 25:
@@ -299,7 +299,7 @@ def test_half_spinor_neutrality_spacelike():
 
 def test_half_spinor_neutrality_rejects_timelike():
     sig = Signature(1, 3)
-    g, _ = _setup(sig)
+    g = build_gammas(sig)
     with pytest.raises(ValueError):
         half_spinor_neutrality(g, [1.0, 0.0, 0.0, 0.0])
 
