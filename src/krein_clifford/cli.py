@@ -47,7 +47,7 @@ def _parse_structure(sig: Signature, spec: str) -> AdmissibleRealStructure:
 
 def _emit(payload: dict, fmt: str, render) -> int:
     """Print the payload as JSON, or the lines `render()` returns as text."""
-    print(payload_to_json(payload) if fmt == "json" else "\n".join(render()))
+    print(payload_to_json(payload) if fmt == "json" else "\n".join(render()), flush=True)
     return 0 if payload.get("status", "ok") == "ok" else 1
 
 
@@ -323,6 +323,9 @@ def main(argv=None) -> int:
         print(json.dumps({"status": "fail", "error": str(exc)}, sort_keys=True)
               if args.format == "json" else f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # stdout closed early: the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

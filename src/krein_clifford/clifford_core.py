@@ -292,7 +292,8 @@ def make_real_structure(b_raw: Multivector) -> AdmissibleRealStructure:
     """Normalize a Clifford-group element into an admissible real structure.
 
     Requires conj(b_raw) proportional to b_raw by a phase; the returned b
-    is real with b^2 = +/-1 and its largest-magnitude coefficient positive.
+    is real with b^2 = +/-1 and its largest-magnitude coefficient positive
+    (among ties, the one on the lowest blade mask).
     """
     sig = b_raw.sig
     if not b_raw.coeffs:
@@ -303,9 +304,9 @@ def make_real_structure(b_raw: Multivector) -> AdmissibleRealStructure:
     b_raw = Multivector(sig, {k: complex(math.ldexp(z.real, shift), math.ldexp(z.imag, shift))
                               for k, z in b_raw.coeffs.items()})
 
-    # dividing by the largest coefficient makes it +1; the quotient is real
-    # exactly when conj(b) = e^{i theta} b
-    lead = max(b_raw.coeffs.values(), key=abs)
+    # dividing by the largest coefficient (on the lowest blade among ties)
+    # makes it +1; the quotient is real exactly when conj(b) = e^{i theta} b
+    lead = b_raw.coeffs[max(sorted(b_raw.coeffs), key=lambda k: abs(b_raw.coeffs[k]))]
     b1 = Multivector(sig, {k: v / lead for k, v in b_raw.coeffs.items()})
     if not b1.is_real(0.5 * ADMISSIBLE_TOL):
         raise NotAdmissible("conj(b) is not proportional to b by a phase")

@@ -125,7 +125,7 @@ def _encode(obj, level: int) -> str:
     if isinstance(obj, np.ndarray):
         m = np.asarray(obj, dtype=np.complex128)
         if m.ndim == 2 and m.size and np.isfinite(m).all():
-            flat = np.stack((m.real, m.imag), -1).ravel().tolist()
+            flat = np.ascontiguousarray(m).view(np.float64).ravel().tolist()
             return _matrix_template(*m.shape, level) % tuple(flat)
         obj = matrix_to_json(m)
     try:

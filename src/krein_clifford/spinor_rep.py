@@ -8,25 +8,25 @@ conjugation C (graded: chi C) and the signs of their squares and adjoints.
 
 Every spinor-space operator is a d x d ndarray: the antilinear charge
 conjugation is its matrix C, acting as psi -> C conj(psi), and two
-antilinear maps A, B compose to the linear map A @ B.conj().
+antilinear maps A, B compose to the linear map A @ B.conj().  Each ladder
+gamma is also a Pauli string (x, z, k), i^k X^x Z^z over the n/2 tensor
+factors: it maps column c to row c ^ x with phase i^k (-1)^popcount(z & c).
+beta, C, chi and the KO signs are products, adjoints and conjugates of
+strings, so each defining relation is an exact integer comparison.
 
-`build_gammas(sig)` returns a `GammaSet` whose gammas are read-only.
-The Euclidean ladder behind them is built once per n and shared by every
-`GammaSet` of that dimension; the last q gammas (i times a ladder matrix)
-are new per call.  The spinor structures of a signature are built per
-`GammaSet`: `g.beta` (the Krein form, a hermitian ndarray), `g.chi`
-(chirality) and `g.charge_conjugation` (C, eps_tilde, kappa_tilde) are
-built on first access, once per `GammaSet`, through `build_krein_form`,
-`chirality` and `build_charge_conjugation`, and are never shared between
-two `build_gammas` calls; the functions that need them take the
-`GammaSet`.  `positive_sigma_product(g, b)` is the sigma-compatible
-product oriented to be positive definite.
+`build_gammas(sig)` returns a `GammaSet` whose gammas are read-only; the
+Euclidean ladder behind them is built once per n and shared.  `g.beta`
+(the Krein form), `g.chi` (chirality) and `g.charge_conjugation` (C,
+eps_tilde, kappa_tilde) are scattered from their strings on first access,
+once per `GammaSet` and never shared between two, by `build_krein_form`,
+`chirality` and `build_charge_conjugation`; a `GammaSet` made from other
+matrices has its strings read off, or is refused.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from functools import cache, cached_property
+from dataclasses import asdict, dataclass, field
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .clifford_core import (
     Multivector,
     Signature,
     hermitian_inertia,
-    volume_element,
 )
 
 _SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -45,8 +44,10 @@ _SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 MAX_N = 16  # spinor dimension 2^(n/2) <= 256 keeps dense matrices desk-scale
 COMMUTANT_TOL = 1e-10  # relative singular-value cut for the commutant's null space
-SIGN_TOL = 1e-9  # how far a matrix read as a scalar, or a value as a unit sign, may stray
-ZERO_DIAGONAL_TOL = 1e-12  # below it _fix_matrix_sign falls back to the largest entry
+SIGN_TOL = 1e-9  # how far a dense matrix read as a unit sign may stray
+_NO_KREIN = "no hermitian involutive Krein form found"
+_NO_C = "charge conjugation does not intertwine the generators"
+_PHASES = np.array([1, 1j, -1, complex(0.0, -1.0)])  # i^k; no part is -0.0
 
 
 class RepresentationError(ValueError):
@@ -78,10 +79,42 @@ def _euclidean_generators(n: int) -> tuple[np.ndarray, ...]:
     return tuple(gens)
 
 
+def _mul(a, b):
+    """Pauli string of a b, as Z^z X^x = (-1)^popcount(x & z) X^x Z^z."""
+    return a[0] ^ b[0], a[1] ^ b[1], (a[2] + b[2] + 2 * (a[1] & b[0]).bit_count()) % 4
+
+
+def _conj(a):
+    return a[0], a[1], -a[2] % 4
+
+
+def _adj(a):
+    return a[0], a[1], (2 * (a[0] & a[1]).bit_count() - a[2]) % 4
+
+
+def _dense(s, d: int) -> np.ndarray:
+    """The d x d matrix of the Pauli string s, by one scatter."""
+    c, m = np.arange(d), np.zeros((d, d), dtype=np.complex128)
+    m[c ^ s[0], c] = _PHASES[(s[2] + 2 * np.bitwise_count(s[1] & c)) % 4]
+    return m
+
+
+def _read_string(m: np.ndarray):
+    """The Pauli string whose matrix is exactly m, or None."""
+    d, x = m.shape[0], int(np.abs(m[:, 0]).argmax())
+    k = np.flatnonzero(_PHASES == m[x, 0])
+    if d & (d - 1) or not k.size:
+        return None
+    z = sum(1 << b for b in range(d.bit_length() - 1) if m[x ^ 1 << b, 1 << b] != m[x, 0])
+    s = (x, z, int(k[0]))
+    return s if np.array_equal(m, _dense(s, d)) else None
+
+
 @dataclass(frozen=True)
 class GammaSet:
     sig: Signature
     gammas: tuple[np.ndarray, ...]
+    _ladder: tuple | None = field(default=None, repr=False)  # the gammas' Pauli strings
 
     @property
     def dim(self) -> int:
@@ -109,18 +142,29 @@ def build_gammas(sig: Signature) -> GammaSet:
         )
     gens = _euclidean_generators(sig.n)
     gammas = tuple(g if i < sig.p else _read_only(1j * g) for i, g in enumerate(gens))
-    return GammaSet(sig, gammas)
+    top = 1 << sig.n // 2  # gamma_2j = Z..Z X I..I and gamma_2j+1 = Z..Z Y I..I, Y = i X Z
+    xs = [top >> i // 2 + 1 for i in range(sig.n)]
+    strings = tuple((x, top - (2 - i % 2) * x, i % 2 + (i >= sig.p)) for i, x in enumerate(xs))
+    return GammaSet(sig, gammas, strings)
+
+
+def _strings(g: GammaSet, refusal: str) -> tuple:
+    """The gammas' Pauli strings, read off unless given; refused when some gamma is none."""
+    s = g._ladder or tuple(map(_read_string, g.gammas))
+    if None in s:
+        raise RepresentationError(refusal)
+    return s
+
+
+def _product(strings: tuple, mask: int):
+    """Pauli string of the gammas of the set bits of mask, in index order."""
+    return reduce(_mul, (s for i, s in enumerate(strings) if mask >> i & 1), (0, 0, 0))
 
 
 def _gamma_product(g: GammaSet, mask: int) -> np.ndarray:
     """The gammas of the set bits of mask, multiplied in index order."""
-    m = np.eye(g.dim, dtype=np.complex128)
-    i = 0
-    while mask >> i:
-        if (mask >> i) & 1:
-            m = m @ g.gammas[i]
-        i += 1
-    return m
+    gams = (gam for i, gam in enumerate(g.gammas) if mask >> i & 1)
+    return reduce(np.matmul, gams, np.eye(g.dim, dtype=np.complex128))
 
 
 def represent(g: GammaSet, a: Multivector) -> np.ndarray:
@@ -134,10 +178,9 @@ def represent(g: GammaSet, a: Multivector) -> np.ndarray:
 
 
 def chirality(g: GammaSet) -> np.ndarray:
-    """Normalized volume element; squares to the identity."""
-    sig = g.sig
-    phase = (-1j) ** (sig.n // 2 + sig.q)
-    return phase * represent(g, volume_element(sig))
+    """Normalized volume element (-i)^(n/2 + q) gamma_1 ... gamma_n; squares to the identity."""
+    sig, s = g.sig, _strings(g, "the gammas are no Pauli strings")
+    return (-1j) ** (sig.n // 2 + sig.q) * _dense(_product(s, (1 << sig.n) - 1), g.dim)
 
 
 def commutant_is_scalar(g: GammaSet) -> bool:
@@ -153,36 +196,27 @@ def commutant_is_scalar(g: GammaSet) -> bool:
     return null_dim == 1
 
 
-def _fix_matrix_sign(m: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude diagonal entry positive; fall back to the
-    first entry of largest magnitude when the diagonal vanishes."""
-    d = np.real(np.diag(m))
-    if np.abs(d).max() > ZERO_DIAGONAL_TOL:
-        sign = 1 if d[np.abs(d).argmax()] > 0 else -1
-    else:
-        flat = m.ravel()
-        lead = flat[np.abs(flat).argmax()]
-        sign = 1 if lead.real >= 0 else -1
-    return sign * m
+@cache  # a pure function of immutable strings; a request builds new GammaSets
+def _krein_string(s: tuple, p: int, n: int):
+    """beta as a Pauli string, up to sign: the product of the first p gammas
+    when p is odd, of the last q otherwise, times i when it is antihermitian."""
+    b = _product(s, (1 << p) - 1 if p % 2 else (1 << n) - (1 << p))
+    if _adj(b) == _mul((0, 0, 2), b):
+        b = _mul((0, 0, 1), b)
+    if _adj(b) != b or _mul(b, b) != (0, 0, 0) or any(_mul(b, _adj(t)) != _mul(t, b) for t in s):
+        raise RepresentationError(_NO_KREIN)
+    return b
 
 
 def build_krein_form(g: GammaSet) -> np.ndarray:
     """Compatible Krein form: the hermitian involutive matrix beta with
     beta gamma_i beta^-1 = gamma_i^dagger, a product of the hermitian (or
     antihermitian) generators.  The gammas are unitary, so the product is
-    already involutive and needs no rescaling (checked, not assumed)."""
-    p, n, N = g.sig.p, g.sig.n, g.dim
-    # the first p gammas when p is odd, the last q otherwise
-    cand = _gamma_product(g, (1 << p) - 1 if p % 2 else (1 << n) - (1 << p))
-    if np.abs(cand + cand.conj().T).max() < 1e-10:
-        cand = 1j * cand
-    if (
-        np.abs(cand - cand.conj().T).max() > 1e-10
-        or np.abs(cand @ cand - np.eye(N)).max() > 1e-9
-        or any(np.abs(cand @ gam.conj().T - gam @ cand).max() > 1e-9 for gam in g.gammas)
-    ):
-        raise RepresentationError("no hermitian involutive Krein form found")
-    return _fix_matrix_sign(cand + 0.0)  # -0.0 -> 0.0 in the printed beta
+    already involutive and needs no rescaling (checked, not assumed).  The
+    sign makes the first nonzero entry, m[0, x], not negative."""
+    b = _krein_string(_strings(g, _NO_KREIN), g.sig.p, g.sig.n)
+    m = _dense(b, g.dim)
+    return (-1 if m[0, b[0]].real < 0 else 1) * m
 
 
 def krein_adjoint(beta: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -195,26 +229,36 @@ def antilinear_adjoint(beta: np.ndarray, C: np.ndarray) -> np.ndarray:
     return np.linalg.solve(beta, C.T @ beta.conj())
 
 
-def _scalar_of(m: np.ndarray, what: str) -> complex:
-    N = m.shape[0]
-    s = np.trace(m) / N
-    if np.abs(m - s * np.eye(N)).max() > SIGN_TOL * max(abs(s), 1.0):
-        raise RepresentationError(f"{what} is not scalar")
+def _sign_of(m: np.ndarray, what: str) -> int:
+    """s = +1 or -1 with m = s 1, up to SIGN_TOL."""
+    s = 1 if m[0, 0].real > 0 else -1
+    if np.abs(m - s * np.eye(m.shape[0])).max() > SIGN_TOL:
+        raise RepresentationError(f"{what} is not a unit sign")
     return s
 
 
-def _sign_of(val: complex, what: str) -> int:
-    if abs(val.imag) > SIGN_TOL or abs(abs(val.real) - 1.0) > SIGN_TOL:
-        raise RepresentationError(f"{what} = {val} is not a unit sign")
-    return 1 if val.real > 0 else -1
+def _unit(s, what: str) -> int:
+    """The sign of a Pauli string of +1 or -1."""
+    if s[:2] != (0, 0) or s[2] % 2:
+        raise RepresentationError(f"{what} is not a unit sign")
+    return 1 - s[2]
 
 
-def _antilinear_signs(C: np.ndarray, beta: np.ndarray, name: str) -> tuple[int, int]:
-    """(eps, kappa) with C^2 = eps and C^x C = kappa for the form beta,
-    C acting antilinearly as psi -> C conj(psi)."""
-    eps = _sign_of(_scalar_of(C @ C.conj(), f"{name}^2"), f"{name}^2")
-    what = f"{name}^x {name}"
-    return eps, _sign_of(_scalar_of(antilinear_adjoint(beta, C) @ C.conj(), what), what)
+def _string_signs(c, beta, name: str) -> tuple[int, int]:
+    """(eps, kappa) with C conj(C) = eps and C^x conj(C) = kappa for the form
+    beta, C^x = beta C^T conj(beta) (beta^-1 = beta), all Pauli strings."""
+    adj = _mul(_mul(beta, _conj(_adj(c))), _conj(beta))
+    return _unit(_mul(c, _conj(c)), f"{name}^2"), _unit(_mul(adj, _conj(c)), f"{name}^x {name}")
+
+
+@cache
+def _conjugation_string(s: tuple):
+    """C as a Pauli string; a gamma is imaginary when its k is odd."""
+    odd = sum(t[2] for t in s) % 2
+    c = _product(s, sum(1 << i for i, t in enumerate(s) if t[2] % 2 != odd))
+    if any(_mul(c, _conj(t)) != _mul(t, c) for t in s):
+        raise RepresentationError(_NO_C)
+    return c
 
 
 def build_charge_conjugation(g: GammaSet) -> tuple[np.ndarray, int, int]:
@@ -226,33 +270,24 @@ def build_charge_conjugation(g: GammaSet) -> tuple[np.ndarray, int, int]:
     anticommutes with the imaginary ones (checked, not assumed).
 
     Returns (C, eps_tilde, kappa_tilde) with C^2 = eps_tilde and
-    C^x C = kappa_tilde for g.beta, read after the intertwining check.  C
-    is a product of unitary gammas, so its square is a unit sign with no
-    rescaling (`_antilinear_signs` refuses any other); the residual phase
-    is fixed by the first nonzero entry of the matrix.
+    C^x C = kappa_tilde for g.beta.  The phase is fixed by the first nonzero
+    entry, m[0, x]; dividing by it (not multiplying by its inverse) sets
+    the signed zeros that `gammas` prints.
     """
-    imag = [np.abs(gam.real).max() < 1e-12 for gam in g.gammas]
-    pick = sum(imag) % 2 == 0
-    m = _gamma_product(g, sum(1 << i for i, im in enumerate(imag) if im == pick))
-    if any(np.abs(m @ gam.conj() - gam @ m).max() > 1e-9 for gam in g.gammas):
-        raise RepresentationError("charge conjugation does not intertwine the generators")
-    # fix phase: first nonzero entry real positive; dividing by lead (not
-    # multiplying by its inverse) sets the signed zeros that `gammas` prints
-    flat = m.ravel()
-    lead = flat[np.flatnonzero(np.abs(flat) > 1e-12 * np.abs(flat).max())[0]]
-    m = m / lead * abs(lead)
-    return m, *_antilinear_signs(m, g.beta, "C")
+    s = _strings(g, _NO_C)
+    c = _conjugation_string(s)
+    m = _dense(c, g.dim)
+    lead = m[0, c[0]]
+    return m / lead * abs(lead), *_string_signs(c, _krein_string(s, g.sig.p, g.sig.n), "C")
 
 
 def commutation_sign(C: np.ndarray, chi: np.ndarray) -> int:
     """Sign s in C chi = s chi C, C acting as psi -> C conj(psi)."""
-    lhs = C @ chi.conj()
-    rhs = chi @ C
-    idx = np.abs(rhs).argmax()
-    s = lhs.flat[idx] / rhs.flat[idx]
-    if np.abs(lhs - s * rhs).max() > 1e-9 * np.abs(rhs).max():
+    lhs, rhs = C @ chi.conj(), chi @ C
+    s = 1 if np.vdot(rhs, lhs).real > 0 else -1
+    if np.abs(lhs - s * rhs).max() > SIGN_TOL * np.abs(rhs).max():
         raise RepresentationError("chi commutation is not a pure sign")
-    return _sign_of(s, "C-chi commutation")
+    return s
 
 
 @dataclass(frozen=True)
@@ -285,13 +320,15 @@ def case_signature(case: str, n: int) -> Signature:
 
 
 def ko_signs(sig: Signature, case: str) -> KOSigns:
-    """All sign invariants, computed from constructed operators."""
+    """All sign invariants, from the Pauli strings of beta, C and chi."""
     if sig != case_signature(case, sig.n):
         raise ValueError(f"signature {sig} does not match case {case!r}")
     g = build_gammas(sig)
-    C, eps_tilde, kappa_tilde = g.charge_conjugation
-    eps_dprime = commutation_sign(C, g.chi)
-    eps, kappa = _antilinear_signs(g.chi @ C, g.beta, "J")  # J = chi C
+    beta, C = _krein_string(g._ladder, sig.p, sig.n), _conjugation_string(g._ladder)
+    chi = _mul((0, 0, -(sig.n // 2 + sig.q) % 4), _product(g._ladder, (1 << sig.n) - 1))
+    eps_tilde, kappa_tilde = _string_signs(C, beta, "C")
+    eps_dprime = _unit(_mul(_mul(C, _conj(chi)), _adj(_mul(chi, C))), "C-chi commutation")
+    eps, kappa = _string_signs(_mul(chi, C), beta, "J")  # J = chi C
     if eps_tilde != eps_dprime * eps:
         raise RepresentationError("graded/ungraded square signs are inconsistent")
     expected_kappa = kappa_tilde if case == "euclidean" else -kappa_tilde
@@ -354,11 +391,10 @@ def wick_sign_transition(from_case: str, sig: Signature, b: AdmissibleRealStruct
     C, eps_tilde, kappa_tilde = g.charge_conjugation
     eps_dprime = commutation_sign(C, g.chi)
 
-    C_E = represent(g, b.b) @ C
-    eps_E, kappa_E = _antilinear_signs(C_E, positive_sigma_product(g, b), "C_E")
+    C_E, beta_E = represent(g, b.b) @ C, positive_sigma_product(g, b)
     measured = {
-        "eps_tilde": eps_E,
-        "kappa_tilde": kappa_E,
+        "eps_tilde": _sign_of(C_E @ C_E.conj(), "C_E^2"),
+        "kappa_tilde": _sign_of(antilinear_adjoint(beta_E, C_E) @ C_E.conj(), "C_E^x C_E"),
         "eps_dprime": commutation_sign(C_E, -g.chi),
     }
     factor = 1 if from_case == "antilorentz" else (-1) ** (sig.n // 2 + 1)

@@ -163,6 +163,17 @@ def test_structure_does_not_depend_on_the_scale_of_b(capsys, argv):
         assert run_cli(capsys, "--format", "json", verb, "--p", "3", "--q", "3", "--b", b, *rest) == want
 
 
+@pytest.mark.parametrize("verb", ["garling", "ideal"])
+def test_structure_does_not_depend_on_the_order_of_tied_terms(capsys, verb):
+    # e_2 and e_3 tie in modulus: the one on the lower blade is made positive
+    args = ["--format", "json", verb, "--p", "1", "--q", "3"]
+    want = run_cli(capsys, *args, "--b", "e_2 - e_3")
+    assert want[0] == 0
+    assert run_cli(capsys, *args, "--b=-e_3 + e_2") == want
+    if verb == "garling":
+        assert json.loads(want[1])["b"] == "0.7071067811865475*e_2 + -0.7071067811865475*e_3"
+
+
 def _run_fresh(code, *argv):
     """`python -c code *argv` in a fresh interpreter that imports this package."""
     env = dict(os.environ, PYTHONPATH=str(Path(__import__("krein_clifford").__file__).parents[1]))
@@ -179,6 +190,20 @@ def _modules_after(prefix, code, *argv):
 
 
 _MAIN = "import sys; from krein_clifford.cli import main; assert main(sys.argv[1:]) == 0"
+
+
+def test_closed_stdout_exits_nonzero_without_traceback():
+    # `gammas --p 8 --q 0` writes far more than a pipe buffer holds
+    env = dict(os.environ, PYTHONPATH=str(Path(__import__("krein_clifford").__file__).parents[1]))
+    code = "import sys; from krein_clifford.cli import main; sys.exit(main(sys.argv[1:]))"
+    argv = ["--format", "json", "gammas", "--p", "8", "--q", "0"]
+    proc = subprocess.Popen([sys.executable, "-c", code, *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(16) == b'{\n  "beta": [\n  '
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 def test_cli_import_loads_no_scipy():

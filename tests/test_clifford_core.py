@@ -213,6 +213,17 @@ def test_make_real_structure_examples():
         assert (st.b - s0.b).norm_max() < 1e-12 and (st.lam, st.alpha) == (s0.lam, s0.alpha), theta
 
 
+def test_make_real_structure_breaks_ties_on_the_lowest_blade():
+    # equal moduli: the coefficient on the lowest blade mask becomes positive,
+    # whatever the order of the terms
+    sig = Signature(1, 3)
+    for pair in ((1.0, -1.0), (-1.0, 1.0), (1j, -1j), (-1j, 1j), (1.0, 1.0)):
+        want = make_real_structure(Multivector(sig, {2: pair[0], 4: pair[1]})).b.coeffs
+        assert want[2].real > 0, pair
+        got = make_real_structure(Multivector(sig, {4: pair[1], 2: pair[0]})).b.coeffs
+        assert got == want, pair
+
+
 def test_b_inv_inverts_b():
     for sig in SIGS:
         sigma = euclidean_structure(sig)

@@ -16,7 +16,10 @@ from krein_clifford.spinor_rep import (
     MAX_N,
     GammaSet,
     RepresentationError,
+    _dense,
     _euclidean_generators,
+    _gamma_product,
+    _read_string,
     antilinear_adjoint,
     build_charge_conjugation,
     build_gammas,
@@ -36,6 +39,7 @@ from conftest import rand_mv
 
 SIGS = [Signature(p, n - p) for n in (2, 4, 6) for p in range(n + 1)]
 SIGS_TO_12 = [Signature(p, n - p) for n in range(2, 13, 2) for p in range(n + 1)]
+SIGS_TO_16 = [Signature(p, n - p) for n in range(2, MAX_N + 1, 2) for p in range(n + 1)]
 
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -62,6 +66,124 @@ def _normalize_conjugation(m):
     flat = m.ravel()
     lead = flat[np.flatnonzero(np.abs(flat) > 1e-12 * np.abs(flat).max())[0]]
     return m * (abs(lead) / lead)
+
+
+# Oracle: beta, C, chi and the KO signs built densely, independently of the
+# Pauli strings: ordered products of the gamma matrices, a sign fix read off
+# the largest entries, a linear solve for the antilinear adjoint and signs
+# read off matrices, each defining relation checked within a tolerance.
+
+
+def _oracle_fix_matrix_sign(m):
+    d = np.real(np.diag(m))
+    if np.abs(d).max() > 1e-12:
+        sign = 1 if d[np.abs(d).argmax()] > 0 else -1
+    else:
+        flat = m.ravel()
+        lead = flat[np.abs(flat).argmax()]
+        sign = 1 if lead.real >= 0 else -1
+    return sign * m
+
+
+def _oracle_krein_form(g):
+    p, n, N = g.sig.p, g.sig.n, g.dim
+    cand = _gamma_product(g, (1 << p) - 1 if p % 2 else (1 << n) - (1 << p))
+    if np.abs(cand + cand.conj().T).max() < 1e-10:
+        cand = 1j * cand
+    assert np.abs(cand - cand.conj().T).max() < 1e-10
+    assert np.abs(cand @ cand - np.eye(N)).max() < 1e-9
+    assert all(np.abs(cand @ gam.conj().T - gam @ cand).max() < 1e-9 for gam in g.gammas)
+    return _oracle_fix_matrix_sign(cand + 0.0)
+
+
+def _oracle_sign(m):
+    N = m.shape[0]
+    s = np.trace(m) / N
+    assert np.abs(m - s * np.eye(N)).max() < 1e-9 * max(abs(s), 1.0)
+    assert abs(s.imag) < 1e-9 and abs(abs(s.real) - 1.0) < 1e-9
+    return 1 if s.real > 0 else -1
+
+
+def _oracle_antilinear_signs(C, beta):
+    return _oracle_sign(C @ C.conj()), _oracle_sign(antilinear_adjoint(beta, C) @ C.conj())
+
+
+def _oracle_commutation_sign(C, chi):
+    lhs, rhs = C @ chi.conj(), chi @ C
+    idx = np.abs(rhs).argmax()
+    s = lhs.flat[idx] / rhs.flat[idx]
+    assert np.abs(lhs - s * rhs).max() < 1e-9 * np.abs(rhs).max()
+    assert abs(s.imag) < 1e-9 and abs(abs(s.real) - 1.0) < 1e-9
+    return 1 if s.real > 0 else -1
+
+
+def _oracle_structures(g):
+    """(beta, C, eps_tilde, kappa_tilde, chi), built and checked densely."""
+    beta = _oracle_krein_form(g)
+    imag = [np.abs(gam.real).max() < 1e-12 for gam in g.gammas]
+    pick = sum(imag) % 2 == 0
+    m = _gamma_product(g, sum(1 << i for i, im in enumerate(imag) if im == pick))
+    assert all(np.abs(m @ gam.conj() - gam @ m).max() < 1e-9 for gam in g.gammas)
+    flat = m.ravel()
+    lead = flat[np.flatnonzero(np.abs(flat) > 1e-12 * np.abs(flat).max())[0]]
+    C = m / lead * abs(lead)
+    chi = (-1j) ** (g.sig.n // 2 + g.sig.q) * represent(g, volume_element(g.sig))
+    return beta, C, *_oracle_antilinear_signs(C, beta), chi
+
+
+def _oracle_ko_signs(case, n):
+    sig = case_signature(case, n)
+    beta, C, eps_tilde, kappa_tilde, chi = _oracle_structures(build_gammas(sig))
+    eps, kappa = _oracle_antilinear_signs(chi @ C, beta)
+    return {"eps": eps, "eps_dprime": _oracle_commutation_sign(C, chi), "eps_tilde": eps_tilde,
+            "kappa": kappa, "kappa_tilde": kappa_tilde, "metric_dim_mod8": n % 8,
+            "ko_dim_mod8": (sig.p - sig.q) % 8}
+
+
+def test_structures_match_the_dense_oracle_byte_for_byte():
+    # every signature with n <= 16: same bytes, -0.0 included, and same signs
+    for sig in SIGS_TO_16:
+        g = build_gammas(sig)
+        beta, C, eps_tilde, kappa_tilde, chi = _oracle_structures(g)
+        got_C, got_eps, got_kappa = g.charge_conjugation
+        assert g.beta.tobytes() == beta.tobytes(), sig
+        assert got_C.tobytes() == C.tobytes(), sig
+        assert g.chi.tobytes() == chi.tobytes(), sig
+        assert (got_eps, got_kappa) == (eps_tilde, kappa_tilde), sig
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_ko_signs_match_the_dense_oracle(case):
+    for n in range(2, MAX_N + 1, 2):
+        assert ko_signs(case_signature(case, n), case).as_dict() == _oracle_ko_signs(case, n), n
+
+
+def test_ladder_strings_build_the_ladder_gammas():
+    # (n, 0) holds the cached ladder itself, (0, n) i times it
+    for n in range(2, MAX_N + 1, 2):
+        for g in (build_gammas(Signature(n, 0)), build_gammas(Signature(0, n))):
+            for s, gam in zip(g._ladder, g.gammas, strict=True):
+                assert np.array_equal(_dense(s, g.dim), gam)
+        if n <= 8:
+            assert tuple(map(_read_string, g.gammas)) == g._ladder
+
+
+def test_hand_built_ladder_is_read_off():
+    # the same matrices without the strings `build_gammas` supplies
+    for sig in (Signature(1, 3), Signature(3, 1), Signature(2, 4)):
+        g = build_gammas(sig)
+        h = GammaSet(sig, tuple(np.array(m) for m in g.gammas))
+        assert h.beta.tobytes() == g.beta.tobytes() and h.chi.tobytes() == g.chi.tobytes()
+        assert h.charge_conjugation[0].tobytes() == g.charge_conjugation[0].tobytes()
+        assert h.charge_conjugation[1:] == g.charge_conjugation[1:]
+
+
+def test_non_pauli_matrices_are_not_read_off():
+    assert _read_string(_X) == (1, 0, 0) and _read_string(_Y) == (1, 1, 1)
+    for m in (2 * _X, (_X + _Y) / np.sqrt(2), np.eye(3), _X + 1e-15, np.zeros((2, 2))):
+        assert _read_string(m) is None
+    with pytest.raises(RepresentationError):
+        chirality(GammaSet(Signature(1, 1), (_X, 2 * _Y)))
 
 
 def test_gamma_clifford_relations():
@@ -389,13 +511,19 @@ def test_spinor_structures_are_built_lazily_and_once(monkeypatch, capsys):
     asp.rho_operator_norm(euclidean_structure(sig), Multivector.basis_vector(sig, 2))
     monkeypatch.undo()
 
+    # `ko_signs` reads the Pauli strings, and builds none of the matrices
+    monkeypatch.setattr(sr, "build_krein_form", refuse)
+    monkeypatch.setattr(sr, "chirality", refuse)
+    monkeypatch.setattr(sr, "build_charge_conjugation", refuse)
+    ko_signs(sig, "antilorentz")
+    monkeypatch.undo()
+
     calls = []
     build = sr.build_krein_form
     monkeypatch.setattr(sr, "build_krein_form", lambda g: calls.append(g) or build(g))
-    ko_signs(sig, "antilorentz")
-    assert len(calls) == 1
     g = build_gammas(sig)
     assert g.beta is g.beta and g.chi is g.chi and g.charge_conjugation is g.charge_conjugation
+    assert len(calls) == 1
     assert build_gammas(sig).beta is not g.beta  # no cache across calls
 
 
