@@ -13,8 +13,9 @@ the norm
     ||a||_{inf,sigma} = sup { ||ab||_sigma : ||b||_sigma = 1 }
 
 turns (Cl(V), x_sigma) into a C*-algebra without reference to any spinor
-representation.  It is the operator norm of left multiplication in one
-sigma-orthonormal basis, so the norms of one call share one Cholesky factor.
+representation.  It is the operator norm of x -> a x on S_e in one
+sigma-orthonormal basis: a *-representation, faithful as Cl(V) is simple, so
+isometric.  So the norms of one call share one 2^(n/2)-square Cholesky factor.
 """
 
 from __future__ import annotations
@@ -58,9 +59,9 @@ class IdempotentIdeal:
         return self.basis.shape[1]
 
 
-def ideal_from_idempotent(e: Multivector) -> IdempotentIdeal:
-    """Left ideal Cl(V)e of a primitive idempotent.  Column k of its read-only
-    basis is e_{m_k} e for the k-th mask m_k independent of the earlier ones."""
+def _right_products(e: Multivector, masks: np.ndarray) -> np.ndarray:
+    """Read-only columns e_m e, m in masks, in blade coordinates; refuses e
+    unless it is a primitive idempotent."""
     sig = e.sig
     S = sign_table(sig.p, sig.n)  # refuses n above the table cap up front
     if not (e * e).approx_eq(e, tol=1e-10):
@@ -70,16 +71,21 @@ def ideal_from_idempotent(e: Multivector) -> IdempotentIdeal:
     rank = round((1 << (sig.n // 2)) * e.normalized_trace().real)
     if rank != 1:
         raise ValueError(f"e is not primitive (rank {rank} != 1)")
-    size, target = 1 << sig.n, 1 << (sig.n // 2)
+    J, e_J = map(np.array, zip(*e.coeffs.items()))  # e_m e_J = S[m, J] e_{m^J}
+    rows = np.zeros((len(masks), 1 << sig.n), dtype=np.complex128)
+    rows[np.arange(len(masks))[:, None], masks[:, None] ^ J] = e_J * S[masks[:, None], J]
+    rows.flags.writeable = False
+    return rows.T
+
+
+def ideal_from_idempotent(e: Multivector) -> IdempotentIdeal:
+    """Left ideal Cl(V)e of a primitive idempotent.  Column k of its read-only
+    basis is e_{m_k} e for the k-th mask m_k independent of the earlier ones."""
+    size, target = 1 << e.sig.n, 1 << (e.sig.n // 2)
     basis = np.zeros((size, target), dtype=np.complex128)
     ortho = np.zeros((target, size), dtype=np.complex128)  # conjugated orthonormal rows
-    masks = np.arange(size)
-    e_dense = e.dense()
     k = 0
-    for mask in masks:
-        # e_mask e = sum_J e_J S[mask, J] e_{mask^J}
-        cand = np.zeros(size, dtype=np.complex128)
-        cand[mask ^ masks] = S[mask] * e_dense
+    for cand in _right_products(e, np.arange(size)).T:
         vec = cand - (ortho[:k] @ cand) @ ortho[:k].conj()
         norm = np.linalg.norm(vec)
         if norm > 1e-9:
@@ -95,37 +101,34 @@ def ideal_from_idempotent(e: Multivector) -> IdempotentIdeal:
 
 
 def build_primitive_idempotent(sig: Signature) -> IdempotentIdeal:
-    """e = prod_j (1 + w_j)/2 from commuting square-one blades.
+    """e = prod_j (1 + w_j)/2 from commuting square-one blades, and its ideal.
 
     w_1 comes from e_1 and the following factors from the pairs
     (e_2,e_3), (e_4,e_5), ..., with a factor i inserted whenever the
-    blade squares to -1.
+    blade squares to -1.  The basis X is e_A e for A over the subsets of {e_2,
+    e_4, ..., e_n} in mask order, as `ideal_from_idempotent` picks; X^H X = 2^(-n/2).
     """
-    half = 0.5 * Multivector.unit(sig)
-    w1 = Multivector.basis_vector(sig, 1)
-    if sig.eta(1) < 0:
-        w1 = 1j * w1
-    e = half * (Multivector.unit(sig) + w1)
-    for j in range(2, sig.n // 2 + 1):
-        a, b = 2 * j - 2, 2 * j - 1
-        w = Multivector.blade(sig, [a, b])
-        if (w * w).scalar_value().real < 0:
-            w = 1j * w
-        e = e * (half * (Multivector.unit(sig) + w))
-    return ideal_from_idempotent(e)
+    S, e = sign_table(sig.p, sig.n), Multivector.unit(sig)
+    for w in [1] + [3 << i for i in range(1, sig.n - 1, 2)]:  # e_1, e_23, e_45, ...
+        e = e * Multivector(sig, {0: 0.5, w: 0.5 if S[w, w] > 0 else 0.5j})
+    masks = np.arange(1 << sig.n)
+    evens = masks[masks & sum(2 << i for i in range(0, sig.n, 2)) == masks]  # e_2, e_4, ...
+    return IdempotentIdeal(e, _right_products(e, evens))
+
+
+def _restricted_form(ideal: IdempotentIdeal, sigma: AdmissibleRealStructure) -> np.ndarray:
+    """Gram matrix of (.,.)_sigma on the ideal basis: antilinear in its first slot,
+    it is X^H G X for the blade coordinates X of the basis and the blade Gram matrix G."""
+    X = ideal.basis
+    G = X.conj().T @ sigma_product_gram(sigma) @ X
+    return 0.5 * (G + G.conj().T)
 
 
 def restricted_sigma_product(
     ideal: IdempotentIdeal, sigma: AdmissibleRealStructure
 ) -> tuple[np.ndarray, FormSignatureReport]:
-    """Gram matrix of (.,.)_sigma on the ideal basis and its classification.
-
-    The form is antilinear in its first slot, so with X the blade
-    coordinates of the basis it is X^H G X for the blade Gram matrix G.
-    """
-    X = ideal.basis
-    G = X.conj().T @ sigma_product_gram(sigma) @ X
-    G = 0.5 * (G + G.conj().T)
+    """Gram matrix of (.,.)_sigma on the ideal basis and its classification."""
+    G = _restricted_form(ideal, sigma)
     return G, hermitian_inertia(G)
 
 
@@ -163,8 +166,10 @@ def cstar_norm(sigma: AdmissibleRealStructure, *elements: Multivector) -> list[f
     """||a||_{inf,sigma} of each element; requires Euclidean sigma."""
     if not is_euclidean(sigma):
         raise ValueError("the C*-norm is only defined for Euclidean real structures")
-    G = sigma_product_gram(sigma)
-    return _operator_norms(0.5 * (G + G.conj().T), map(left_multiplication_matrix, elements))
+    ideal = build_primitive_idempotent(sigma.sig)
+    left_inv = (1 << sigma.sig.n // 2) * ideal.basis.conj().T  # a X = X A, so A = left_inv a X
+    mats = (left_inv @ left_multiplication_matrix(a) @ ideal.basis for a in elements)
+    return _operator_norms(_restricted_form(ideal, sigma), mats)
 
 
 def cstar_identity_check(sigma: AdmissibleRealStructure, *elements: Multivector) -> float:

@@ -133,18 +133,22 @@ class GammaSet:
         return build_charge_conjugation(self)
 
 
-def build_gammas(sig: Signature) -> GammaSet:
-    """Generator matrices, read-only: hermitian for eta=+1, antihermitian
-    for eta=-1."""
+def _ladder_strings(sig: Signature) -> tuple:
+    """Pauli strings of the gammas of `build_gammas(sig)`, which refuse n above MAX_N."""
     if sig.n > MAX_N:
         raise RepresentationError(
             f"n = {sig.n} exceeds the cap n <= {MAX_N} (spinor dimension {2 ** (MAX_N // 2)})"
         )
-    gens = _euclidean_generators(sig.n)
-    gammas = tuple(g if i < sig.p else _read_only(1j * g) for i, g in enumerate(gens))
     top = 1 << sig.n // 2  # gamma_2j = Z..Z X I..I and gamma_2j+1 = Z..Z Y I..I, Y = i X Z
     xs = [top >> i // 2 + 1 for i in range(sig.n)]
-    strings = tuple((x, top - (2 - i % 2) * x, i % 2 + (i >= sig.p)) for i, x in enumerate(xs))
+    return tuple((x, top - (2 - i % 2) * x, i % 2 + (i >= sig.p)) for i, x in enumerate(xs))
+
+
+def build_gammas(sig: Signature) -> GammaSet:
+    """Generator matrices, read-only: hermitian for eta=+1, antihermitian
+    for eta=-1."""
+    strings, gens = _ladder_strings(sig), _euclidean_generators(sig.n)
+    gammas = tuple(g if i < sig.p else _read_only(1j * g) for i, g in enumerate(gens))
     return GammaSet(sig, gammas, strings)
 
 
@@ -323,9 +327,9 @@ def ko_signs(sig: Signature, case: str) -> KOSigns:
     """All sign invariants, from the Pauli strings of beta, C and chi."""
     if sig != case_signature(case, sig.n):
         raise ValueError(f"signature {sig} does not match case {case!r}")
-    g = build_gammas(sig)
-    beta, C = _krein_string(g._ladder, sig.p, sig.n), _conjugation_string(g._ladder)
-    chi = _mul((0, 0, -(sig.n // 2 + sig.q) % 4), _product(g._ladder, (1 << sig.n) - 1))
+    s = _ladder_strings(sig)
+    beta, C = _krein_string(s, sig.p, sig.n), _conjugation_string(s)
+    chi = _mul((0, 0, -(sig.n // 2 + sig.q) % 4), _product(s, (1 << sig.n) - 1))
     eps_tilde, kappa_tilde = _string_signs(C, beta, "C")
     eps_dprime = _unit(_mul(_mul(C, _conj(chi)), _adj(_mul(chi, C))), "C-chi commutation")
     eps, kappa = _string_signs(_mul(chi, C), beta, "J")  # J = chi C

@@ -242,6 +242,17 @@ def test_ideal_basis_is_first_independent_products(sig):
         assert k == ideal.dim
 
 
+@pytest.mark.parametrize("n", range(2, 11, 2))
+def test_closed_form_ideal_is_the_greedy_one(n):
+    # 35 signatures: every (p, q) with even n <= 10, the sign table's cap
+    for p in range(n + 1):
+        ideal = build_primitive_idempotent(Signature(p, n - p))
+        assert not ideal.basis.flags.writeable
+        greedy = ideal_from_idempotent(ideal.e).basis
+        assert np.array_equal(ideal.basis, greedy)
+        assert ideal.basis.tobytes() == greedy.tobytes(), (p, n - p)
+
+
 def test_span_equal_detects_different_ideals():
     sig = Signature(1, 3)
     a = build_primitive_idempotent(sig)
@@ -333,6 +344,56 @@ def test_batched_norms_equal_one_element_calls(sig, rng):
     for a, na in zip(draws, norms):
         want = _cstar_norm_per_element(sigma, a)
         assert abs(na - want) <= 1e-12 * want, sig
+
+
+def _rotated_123(sig):
+    """e_123 at (3,3) conjugated by cosh 0.4 + sinh 0.4 e_14 (e_14^2 = 1)."""
+    one, B = Multivector.unit(sig), Multivector.blade(sig, [1, 4])
+    u, u_inv = np.cosh(0.4) * one + np.sinh(0.4) * B, np.cosh(0.4) * one - np.sinh(0.4) * B
+    return make_real_structure(u * Multivector.blade(sig, [1, 2, 3]) * u_inv)
+
+
+# non-blade Euclidean structures; at theta = 2.0 the sigma-Gram has condition number 3.0e3
+BOOSTED = [
+    pytest.param(Signature(1, 3), lambda s: _boosted_structure(s, 0.7), id="13-boost0.7"),
+    pytest.param(Signature(1, 3), lambda s: _boosted_structure(s, 2.0), id="13-boost2.0"),
+    pytest.param(Signature(3, 3), _rotated_123, id="33-rotated-e123"),
+]
+
+
+@pytest.mark.parametrize("sig,make_sigma", BOOSTED)
+def test_ideal_norm_matches_full_space_norm_for_boosted_structures(sig, make_sigma, rng):
+    sigma = make_sigma(sig)
+    draws = [rand_mv(sig, rng) for _ in range(4)] + [Multivector.unit(sig)]
+    for a, na in zip(draws, cstar_norm(sigma, *draws)):
+        want = _cstar_norm_per_element(sigma, a)
+        assert abs(na - want) <= 1e-12 * want
+
+
+_LINALG = ("cholesky", "inv", "solve", "svd", "norm", "eigh", "eigvalsh", "eig", "eigvals",
+           "qr", "lstsq", "pinv", "matrix_rank", "det", "slogdet")
+
+
+@pytest.mark.parametrize("sig", [Signature(3, 3), Signature(4, 4)], ids=lambda s: f"{s.p}{s.q}")
+def test_cstar_norm_factorises_no_full_space_matrix(sig, rng, monkeypatch):
+    # the norm is read on the 2^(n/2)-dimensional ideal: no np.linalg call
+    # may see a 2^n x 2^n matrix
+    shapes = []
+
+    def recording(fn):
+        def recorded(*args, **kwargs):
+            shapes.extend(np.shape(x) for x in args if isinstance(x, np.ndarray))
+            return fn(*args, **kwargs)
+
+        return recorded
+
+    for name in _LINALG:
+        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+    sigma = euclidean_structure(sig)
+    cstar_norm(sigma, rand_mv(sig, rng), Multivector.unit(sig))
+    size, d = 1 << sig.n, 1 << (sig.n // 2)
+    assert (d, d) in shapes
+    assert not any(shape[-2:] == (size, size) for shape in shapes), shapes
 
 
 def _counting(calls, name, fn):

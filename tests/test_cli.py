@@ -210,6 +210,18 @@ def test_cli_import_loads_no_scipy():
     assert _modules_after("scipy", "import sys, krein_clifford.cli") == "[]"
 
 
+def test_cli_import_fills_no_table():
+    # work done at import time would be paid by every process, whatever it runs
+    code = (
+        "import sys, krein_clifford.cli; from krein_clifford._kernels import sign_table; "
+        "from krein_clifford.spinor_rep import _euclidean_generators as ladder; "
+        "sys.stdout.write(repr([sign_table.cache_info().currsize, ladder.cache_info().currsize]))"
+    )
+    proc = _run_fresh(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0]"
+
+
 @pytest.mark.parametrize("argv", [("wick", "--p", "2", "--q", "0", "--sites", "5"), ("verify", "--suite", "wick")])
 def test_lattice_verbs_load_no_scipy(argv):
     assert _modules_after("scipy", _MAIN, *argv) == "[]"

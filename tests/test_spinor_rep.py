@@ -376,6 +376,8 @@ def test_build_gammas_refuses_above_cap():
     assert build_gammas(Signature(MAX_N - 1, 1)).dim == 256
     with pytest.raises(RepresentationError):
         build_gammas(Signature(MAX_N + 2, 0))
+    with pytest.raises(RepresentationError):
+        ko_signs(Signature(MAX_N + 2, 0), "euclidean")
 
 
 def test_ladder_is_built_once_per_n():
@@ -512,6 +514,8 @@ def test_spinor_structures_are_built_lazily_and_once(monkeypatch, capsys):
     monkeypatch.undo()
 
     # `ko_signs` reads the Pauli strings, and builds none of the matrices
+    monkeypatch.setattr(sr, "build_gammas", refuse)
+    monkeypatch.setattr(sr, "_euclidean_generators", refuse)
     monkeypatch.setattr(sr, "build_krein_form", refuse)
     monkeypatch.setattr(sr, "chirality", refuse)
     monkeypatch.setattr(sr, "build_charge_conjugation", refuse)
