@@ -134,7 +134,11 @@ def cmd_csnorm(args) -> int:
     sig = _sig(args)
     sigma = _parse_structure(sig, args.b)
     a = multivector_from_text(sig, args.a)
-    norm, square_norm = asp.cstar_norm(sigma, a, sigma.sigma_cross(a) * a)
+    try:
+        square = sigma.sigma_cross(a) * a
+    except ValueError:  # a product of finite elements refuses only a non-finite coefficient
+        raise ValueError(f"--a {args.a!r} is too large: a^x a overflows the float range") from None
+    norm, square_norm = asp.cstar_norm(sigma, a, square)
     resid = abs(square_norm - norm * norm)
     [rho_norm] = asp.rho_operator_norm(sigma, a)
     ok = resid <= 1e-9 * max(norm * norm, 1.0) and abs(norm - rho_norm) <= 1e-9 * max(norm, 1.0)

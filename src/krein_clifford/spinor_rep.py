@@ -11,7 +11,8 @@ conjugation is its matrix C, acting as psi -> C conj(psi), and two
 antilinear maps A, B compose to the linear map A @ B.conj().  Each ladder
 gamma is also a Pauli string (x, z, k), i^k X^x Z^z over the n/2 tensor
 factors: it maps column c to row c ^ x with phase i^k (-1)^popcount(z & c).
-beta, C, chi and the KO signs are products, adjoints and conjugates of
+The string product is the layer's only product rule: `represent`, beta,
+C, chi, the KO signs and the irreducibility certificate are read off
 strings, so each defining relation is an exact integer comparison.
 
 `build_gammas(sig)` returns a `GammaSet` whose gammas are read-only; the
@@ -20,7 +21,7 @@ Euclidean ladder behind them is built once per n and shared.  `g.beta`
 eps_tilde, kappa_tilde) are scattered from their strings on first access,
 once per `GammaSet` and never shared between two, by `build_krein_form`,
 `chirality` and `build_charge_conjugation`; a `GammaSet` made from other
-matrices has its strings read off, or is refused.
+matrices has its strings read off, or is refused wherever they are read.
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ _SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 
 MAX_N = 16  # spinor dimension 2^(n/2) <= 256 keeps dense matrices desk-scale
-COMMUTANT_TOL = 1e-10  # relative singular-value cut for the commutant's null space
 SIGN_TOL = 1e-9  # how far a dense matrix read as a unit sign may stray
 _NO_KREIN = "no hermitian involutive Krein form found"
 _NO_C = "charge conjugation does not intertwine the generators"
+_NO_PAULI = "the gammas are no Pauli strings"
 _PHASES = np.array([1, 1j, -1, complex(0.0, -1.0)])  # i^k; no part is -0.0
 
 
@@ -165,39 +166,33 @@ def _product(strings: tuple, mask: int):
     return reduce(_mul, (s for i, s in enumerate(strings) if mask >> i & 1), (0, 0, 0))
 
 
-def _gamma_product(g: GammaSet, mask: int) -> np.ndarray:
-    """The gammas of the set bits of mask, multiplied in index order."""
-    gams = (gam for i, gam in enumerate(g.gammas) if mask >> i & 1)
-    return reduce(np.matmul, gams, np.eye(g.dim, dtype=np.complex128))
-
-
 def represent(g: GammaSet, a: Multivector) -> np.ndarray:
-    """Algebra homomorphism: blade -> ordered product of generator matrices."""
+    """Algebra homomorphism: blade -> ordered product of the gammas' strings."""
     if a.sig != g.sig:
         raise RepresentationError(f"signature mismatch: {a.sig} vs {g.sig}")
+    s = _strings(g, _NO_PAULI)
     out = np.zeros((g.dim, g.dim), dtype=np.complex128)
     for mask, coeff in a.coeffs.items():
-        out += coeff * _gamma_product(g, mask)
+        out += coeff * _dense(_product(s, mask), g.dim)
     return out
 
 
 def chirality(g: GammaSet) -> np.ndarray:
     """Normalized volume element (-i)^(n/2 + q) gamma_1 ... gamma_n; squares to the identity."""
-    sig, s = g.sig, _strings(g, "the gammas are no Pauli strings")
+    sig, s = g.sig, _strings(g, _NO_PAULI)
     return (-1j) ** (sig.n // 2 + sig.q) * _dense(_product(s, (1 << sig.n) - 1), g.dim)
 
 
 def commutant_is_scalar(g: GammaSet) -> bool:
-    """Irreducibility certificate: only scalars commute with all generators."""
-    N = g.dim
-    rows = []
-    eye = np.eye(N)
-    for gam in g.gammas:
-        rows.append(np.kron(eye, gam) - np.kron(gam.T, eye))
-    A = np.vstack(rows)
-    s = np.linalg.svd(A, compute_uv=False)
-    null_dim = int((s < COMMUTANT_TOL * s[0]).sum())
-    return null_dim == 1
+    """Irreducibility certificate: only scalars commute with all generators.
+
+    Up to phase, the products of the gammas are the strings of the xor-span
+    of their (x, z) pairs.  All d^2 strings span every d x d matrix, fewer a
+    proper *-subalgebra, so the commutant is scalar exactly when all are reached."""
+    reached = {(0, 0)}
+    for x, z, _ in _strings(g, _NO_PAULI):
+        reached |= {(x ^ rx, z ^ rz) for rx, rz in reached}
+    return len(reached) == g.dim**2
 
 
 @cache  # a pure function of immutable strings; a request builds new GammaSets
@@ -391,11 +386,12 @@ def wick_sign_transition(from_case: str, sig: Signature, b: AdmissibleRealStruct
     if b.b.grades() != {expected_grade}:
         raise ValueError("rotation element has the wrong grade")
 
-    g = build_gammas(sig)
-    C, eps_tilde, kappa_tilde = g.charge_conjugation
-    eps_dprime = commutation_sign(C, g.chi)
+    source = ko_signs(sig, from_case)
+    eps_tilde, kappa_tilde, eps_dprime = source.eps_tilde, source.kappa_tilde, source.eps_dprime
 
-    C_E, beta_E = represent(g, b.b) @ C, positive_sigma_product(g, b)
+    # b is a general unit vector, no string, so the rotated side is measured densely
+    g = build_gammas(sig)
+    C_E, beta_E = represent(g, b.b) @ g.charge_conjugation[0], positive_sigma_product(g, b)
     measured = {
         "eps_tilde": _sign_of(C_E @ C_E.conj(), "C_E^2"),
         "kappa_tilde": _sign_of(antilinear_adjoint(beta_E, C_E) @ C_E.conj(), "C_E^x C_E"),

@@ -20,8 +20,8 @@ the target signature's operator directly, and returns the four residuals
 Rotation, adjoints and residuals act on the blocks.  The operators commute
 with the lattice shifts by construction, so a spectrum is the union of the
 eigenvalues of the d x d plane-wave blocks, written in closed form: no FFT
-and no shift check.  Only `FieldOperator.matrix`, for the text export and the
-test oracles, assembles a sparse matrix and loads scipy.
+and no shift check.  Only `FieldOperator.matrix`, for the test oracles,
+assembles a sparse matrix and loads scipy.
 """
 
 from __future__ import annotations
@@ -213,17 +213,6 @@ def spectrum(D: FieldOperator, k: int) -> np.ndarray:
     """The k eigenvalues of largest magnitude, in the order of
     `sort_spectrum`, from the plane-wave blocks of D."""
     return sort_spectrum(np.linalg.eigvals(momentum_blocks(D)).ravel())[:k]
-
-
-def export_coo_text(D: FieldOperator) -> str:
-    """Coordinate-list text export: one `row col re im` line per entry."""
-    coo = D.matrix.tocoo()
-    idx = np.lexsort((coo.col, coo.row))
-    lines = [
-        f"{coo.row[i]} {coo.col[i]} {coo.data[i].real:.17g} {coo.data[i].imag:.17g}"
-        for i in idx
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def flat_dirac_package(sig: Signature, sites: int, spacing: float = 1.0):

@@ -241,7 +241,7 @@ def test_coefficients_near_the_float_maximum(capsys):
     proc = _run_fresh("import sys; from krein_clifford.cli import main; sys.exit(main(sys.argv[1:]))", *argv)
     assert proc.returncode == 2 and proc.stdout == ""
     (line,) = proc.stderr.splitlines()
-    assert json.loads(line)["error"].startswith("non-finite coefficient")
+    assert json.loads(line)["error"] == f"--a {big!r} is too large: a^x a overflows the float range"
 
 
 def test_garling_rejects_non_admissible(capsys):
@@ -302,6 +302,18 @@ def test_csnorm(capsys):
     assert doc["cstar_identity_residual"] <= 1e-9
     code, _, err = run_cli(capsys, "csnorm", "--p", "1", "--q", "1", "--b", "c", "--a", "e_1")
     assert code == 2  # sigma = c is not Euclidean in (1,1)
+
+
+def test_csnorm_refuses_an_overflowing_square(capsys):
+    # a is finite but a^x a is not: the refusal names a, not a blade of a^x a
+    code, out, err = run_cli(capsys, "--format", "json", "csnorm", "--p", "2", "--q", "0",
+                             "--a", "1e200*e_1")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "status": "fail", "error": "--a '1e200*e_1' is too large: a^x a overflows the float range"
+    }
+    code, doc, _ = run_json(capsys, "csnorm", "--p", "2", "--q", "0", "--a", "1e150*e_1")
+    assert code == 0 and doc["norm"] == doc["rho_norm"] == 1e150
 
 
 def test_ideal_degenerate_witness(capsys):

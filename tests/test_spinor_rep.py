@@ -1,6 +1,8 @@
 """Spinor representation layer: gamma sets, Krein forms, charge
 conjugation and the sign tables, checked against direct matrix oracles."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,6 @@ from krein_clifford.spinor_rep import (
     RepresentationError,
     _dense,
     _euclidean_generators,
-    _gamma_product,
     _read_string,
     antilinear_adjoint,
     build_charge_conjugation,
@@ -57,6 +58,29 @@ def _kron_intertwiner(lhs, rhs):
     assert null_dim == 1
     # the kron rows use column-stacking vectorization
     return vh[-1].conj().reshape(N, N).T
+
+
+def _gamma_product(g, mask):
+    """The gammas of the set bits of mask, multiplied densely in index order."""
+    gams = (gam for i, gam in enumerate(g.gammas) if mask >> i & 1)
+    return reduce(np.matmul, gams, np.eye(g.dim, dtype=np.complex128))
+
+
+def _oracle_represent(g, a):
+    """represent as a sum of dense gamma products, in the order of the terms."""
+    out = np.zeros((g.dim, g.dim), dtype=np.complex128)
+    for mask, coeff in a.coeffs.items():
+        out += coeff * _gamma_product(g, mask)
+    return out
+
+
+def _kron_commutant_is_scalar(g):
+    """Generic oracle: the null space of X gamma_i - gamma_i X, from the
+    stacked kron system, is one-dimensional."""
+    eye = np.eye(g.dim)
+    A = np.vstack([np.kron(eye, gam) - np.kron(gam.T, eye) for gam in g.gammas])
+    s = np.linalg.svd(A, compute_uv=False)
+    return int((s < 1e-10 * s[0]).sum()) == 1
 
 
 def _normalize_conjugation(m):
@@ -127,7 +151,7 @@ def _oracle_structures(g):
     flat = m.ravel()
     lead = flat[np.flatnonzero(np.abs(flat) > 1e-12 * np.abs(flat).max())[0]]
     C = m / lead * abs(lead)
-    chi = (-1j) ** (g.sig.n // 2 + g.sig.q) * represent(g, volume_element(g.sig))
+    chi = (-1j) ** (g.sig.n // 2 + g.sig.q) * _oracle_represent(g, volume_element(g.sig))
     return beta, C, *_oracle_antilinear_signs(C, beta), chi
 
 
@@ -241,9 +265,37 @@ def test_representation_faithful_dimension():
     assert np.linalg.matrix_rank(np.array(mats)) == 16
 
 
+def test_represent_matches_the_dense_oracle_byte_for_byte(rng):
+    # a dense element at every signature with n <= 10, -0.0 included
+    for sig in (Signature(p, n - p) for n in range(2, 11, 2) for p in range(n + 1)):
+        g = build_gammas(sig)
+        a = Multivector(sig, dict(enumerate(rng.normal(size=(1 << sig.n, 2)) @ [1, 1j])))
+        assert represent(g, a).tobytes() == _oracle_represent(g, a).tobytes(), sig
+    # single blades up to n = 16, where a dense element is too slow for the oracle
+    for n in range(12, MAX_N + 1, 2):
+        for sig in (Signature(n, 0), Signature(1, n - 1), Signature(n // 2, n // 2)):
+            g = build_gammas(sig)
+            for mask in ((1 << n) - 1, int("01" * (n // 2), 2), *rng.integers(1 << n, size=2)):
+                a = Multivector(sig, {int(mask): complex(*rng.normal(size=2))})
+                assert represent(g, a).tobytes() == _oracle_represent(g, a).tobytes(), (sig, mask)
+
+
 def test_irreducibility():
-    for sig in SIGS:
-        assert commutant_is_scalar(build_gammas(sig))
+    for sig in (Signature(p, n - p) for n in range(2, 9, 2) for p in range(n + 1)):
+        g = build_gammas(sig)
+        assert commutant_is_scalar(g) and _kron_commutant_is_scalar(g), sig
+    # X (x) I and Y (x) I generate only the first factor: reducible on C^4
+    eye = np.eye(2, dtype=np.complex128)
+    g = GammaSet(Signature(2, 0), (np.kron(_X, eye), np.kron(_Y, eye)))
+    assert not commutant_is_scalar(g) and not _kron_commutant_is_scalar(g)
+
+
+def test_represent_and_certificate_refuse_non_pauli_gammas():
+    g = GammaSet(Signature(1, 1), (_X, (_X + _Y) / np.sqrt(2)))
+    with pytest.raises(RepresentationError, match="no Pauli strings"):
+        represent(g, Multivector.basis_vector(g.sig, 1))
+    with pytest.raises(RepresentationError, match="no Pauli strings"):
+        commutant_is_scalar(g)
 
 
 def test_chirality_properties():

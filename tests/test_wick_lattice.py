@@ -1,5 +1,5 @@
 """Lattice Dirac operators: plane-wave spectral oracle, Wick rotation
-round trips, and the export formats."""
+round trips, and the assembled matrix pinned against a golden text."""
 
 import itertools
 from pathlib import Path
@@ -17,7 +17,6 @@ from krein_clifford.wick_lattice import (
     anticommutation_residual,
     build_flat_dirac,
     build_fundamental_symmetry,
-    export_coo_text,
     flat_dirac_package,
     inverse_wick,
     krein_selfadjoint_residual,
@@ -270,18 +269,13 @@ def test_sort_spectrum_ignores_rounding_noise():
     assert sort_spectrum(np.array([-1 - 0j, -1 + 1e-15j]))[0].imag == 0.0
 
 
-def test_export_formats():
-    spec, g, D = flat_dirac_package(Signature(1, 1), 3)
-    text = export_coo_text(D)
-    lines = text.strip().splitlines()
+def _coo_text(D):
+    """One `row col re im` line per stored entry of D.matrix, sorted by (row, col)."""
     coo = D.matrix.tocoo()
-    assert len(lines) == coo.nnz
-    r, c, re_, im_ = lines[0].split()
-    entry = D.matrix[int(r), int(c)]
-    assert complex(float(re_), float(im_)) == pytest.approx(entry, abs=1e-15)
-    # rows are lexicographically sorted by (row, col)
-    keys = [(int(l.split()[0]), int(l.split()[1])) for l in lines]
-    assert keys == sorted(keys)
+    return "".join(
+        f"{coo.row[i]} {coo.col[i]} {coo.data[i].real:.17g} {coo.data[i].imag:.17g}\n"
+        for i in np.lexsort((coo.col, coo.row))
+    )
 
 
 def test_export_text_matches_golden():
@@ -290,7 +284,7 @@ def test_export_text_matches_golden():
     spec, g, D = flat_dirac_package(sig, 3, 0.5)
     D_sigma, _ = _rotated(sig, g, D)
     want = (Path(__file__).parent / "golden" / "coo_dsigma_1_1.txt").read_text()
-    assert export_coo_text(D_sigma) == want
+    assert _coo_text(D_sigma) == want
 
 
 def test_zero_mode_block_vanishes():
