@@ -206,8 +206,10 @@ def test_non_pauli_matrices_are_not_read_off():
     assert _read_string(_X) == (1, 0, 0) and _read_string(_Y) == (1, 1, 1)
     for m in (2 * _X, (_X + _Y) / np.sqrt(2), np.eye(3), _X + 1e-15, np.zeros((2, 2))):
         assert _read_string(m) is None
-    with pytest.raises(RepresentationError):
-        chirality(GammaSet(Signature(1, 1), (_X, 2 * _Y)))
+    g = GammaSet(Signature(1, 1), (_X, 2 * _Y))
+    for refused in (chirality, commutant_is_scalar, lambda g: represent(g, Multivector.unit(g.sig))):
+        with pytest.raises(RepresentationError, match="no Pauli strings"):
+            refused(g)
 
 
 def test_gamma_clifford_relations():
@@ -288,14 +290,6 @@ def test_irreducibility():
     eye = np.eye(2, dtype=np.complex128)
     g = GammaSet(Signature(2, 0), (np.kron(_X, eye), np.kron(_Y, eye)))
     assert not commutant_is_scalar(g) and not _kron_commutant_is_scalar(g)
-
-
-def test_represent_and_certificate_refuse_non_pauli_gammas():
-    g = GammaSet(Signature(1, 1), (_X, (_X + _Y) / np.sqrt(2)))
-    with pytest.raises(RepresentationError, match="no Pauli strings"):
-        represent(g, Multivector.basis_vector(g.sig, 1))
-    with pytest.raises(RepresentationError, match="no Pauli strings"):
-        commutant_is_scalar(g)
 
 
 def test_chirality_properties():
