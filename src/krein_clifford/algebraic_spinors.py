@@ -35,7 +35,7 @@ from .clifford_core import (
     left_multiplication_matrix,
     sigma_product_gram,
 )
-from .spinor_rep import build_gammas, positive_sigma_product, represent
+from .spinor_rep import _PHASES, build_gammas, positive_sigma_product, represent
 
 SPAN_TOL = 1e-10  # max |coefficient| of b a - b read as zero
 ISOTROPY_TOL = 1e-12  # max |coefficient| of e e^{x_sigma} read as zero
@@ -103,14 +103,15 @@ def ideal_from_idempotent(e: Multivector) -> IdempotentIdeal:
 def build_primitive_idempotent(sig: Signature) -> IdempotentIdeal:
     """e = prod_j (1 + w_j)/2 from commuting square-one blades, and its ideal.
 
-    w_1 comes from e_1 and the following factors from the pairs
-    (e_2,e_3), (e_4,e_5), ..., with a factor i inserted whenever the
-    blade squares to -1.  The basis X is e_A e for A over the subsets of {e_2,
-    e_4, ..., e_n} in mask order, as `ideal_from_idempotent` picks; X^H X = 2^(-n/2).
+    w = e_1, e_23, e_45, ..., times i when the blade squares to -1, are disjoint
+    and in index order, so e is 2^(-n/2) i^k on the union of each subset of them
+    with k factors i, in the product's term order.  The basis X is e_A e for A over the subsets
+    of {e_2, e_4, ..., e_n} in mask order, as `ideal_from_idempotent` picks; X^H X = 2^(-n/2).
     """
-    S, e = sign_table(sig.p, sig.n), Multivector.unit(sig)
+    S, terms = sign_table(sig.p, sig.n), [(0, 0)]
     for w in [1] + [3 << i for i in range(1, sig.n - 1, 2)]:  # e_1, e_23, e_45, ...
-        e = e * Multivector(sig, {0: 0.5, w: 0.5 if S[w, w] > 0 else 0.5j})
+        terms = [t for m, k in terms for t in ((m, k), (m | w, k + int(S[w, w] < 0)))]
+    e = Multivector(sig, {m: 0.5 ** (sig.n // 2) * _PHASES[k % 4] for m, k in terms})
     masks = np.arange(1 << sig.n)
     evens = masks[masks & sum(2 << i for i in range(0, sig.n, 2)) == masks]  # e_2, e_4, ...
     return IdempotentIdeal(e, _right_products(e, evens))

@@ -77,7 +77,7 @@ def cmd_cone(args) -> int:
     if len(v) != sig.n:
         raise ValueError(f"expected {sig.n} components, got {len(v)}")
     g = sr.build_gammas(sig)
-    verdict = sd.cone_test(sig, g, g.beta, v)
+    verdict = sd.cone_test(sig, g, None, v)
     payload = {"status": "ok", "sig": [sig.p, sig.q], "v": v, **verdict.as_dict()}
     return _emit(payload, args.format, lambda: [
         f"signature ({sig.p},{sig.q})  v = {args.v}",

@@ -1,13 +1,13 @@
 """Signature characterization through Krein products on spinors.
 
-Light-cone membership of a vector v is decided by the definiteness of the
-Krein form rotated by the reflection structure of v (b = v, or omega v in
-the Lorentzian case), and compared against the direct sign of Q(v).  Both
-read v scaled by 1/max|v_i|, so the verdict is the same for every positive
-multiple of v; non-finite components are refused.  Also here, reading
-g.beta and g.chi off the `GammaSet`: Krein-positivity of operators,
-half-spinor neutrality for spacelike vectors, and the extraction of the
-dominant timelike vector from a Krein-positive odd element.
+Light-cone membership of a vector v is decided by the definiteness of the Krein
+form rotated by the reflection structure of v (b = v, or omega v in the Lorentzian
+case), a sum of Pauli strings read with one eigendecomposition and an exact time
+orientation, and compared against the direct sign of Q(v).  Both read v scaled by
+1/max|v_i|, so the verdict is the same for every positive multiple of v; non-finite
+components are refused.  Also here, reading g.beta and g.chi off the `GammaSet`:
+Krein-positivity of operators, half-spinor neutrality for spacelike vectors, and
+the extraction of the dominant timelike vector from a Krein-positive odd element.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .clifford_core import (
     hermitian_inertia,
     quadratic_form,
 )
-from .spinor_rep import GammaSet, represent, rotated_krein_form
+from .spinor_rep import _PHASES, GammaSet, _mul, _product, _read_string, krein_string, represent
 
 NEAR_NULL_REL_TOL = 1e-9
 
@@ -114,58 +114,65 @@ def _unit_coords(sig: Signature, v) -> np.ndarray:
     return x / top
 
 
-def _cone_form(g: GammaSet, beta: np.ndarray, x: np.ndarray, qx: float) -> np.ndarray:
-    """The hermitian matrix whose definiteness decides cone membership of
-    the vector v with coordinates x and Q(v) = qx: beta rotated by b = v
-    (anti-Lorentz) or b = omega v (Lorentz), built from the gamma stack."""
-    sig = g.sig
-    rho = np.tensordot(x, g.gammas, 1)
-    if _case_of(sig) == "antilorentz":
-        return rotated_krein_form(beta, rho, qx, 1)
-    # rho(omega) = chi / (-i)^(n/2 + q), (omega v)^2 = -omega^2 Q(v) with
-    # omega^2 = (-1)^(n(n-1)/2 + q), and omega v has grade n - 1
-    rho_omega = g.chi / (-1j) ** (sig.n // 2 + sig.q)
-    omega2 = (-1) ** (sig.n * (sig.n - 1) // 2 + sig.q)
-    return rotated_krein_form(beta, rho_omega @ rho, -omega2 * qx, _reversal_sign(sig.n - 1))
+def _cone_strings(g: GammaSet, beta) -> list:
+    """Strings S_i of the cone form sum_i x_i S_i / Q(v) of v = sum_i x_i e_i: beta rotated by
+    b = v (anti-Lorentz) or b = omega v (Lorentz; rho(omega) is the string of gamma_1 ... gamma_n,
+    1/(omega v)^2 = -omega^2 / Q(v), and -i = i^3 when omega v has reversal sign -1).  beta is
+    None for the set's Krein form, else that form or its negative, by Schur's lemma the only
+    hermitian involutive compatible forms; any other matrix is refused."""
+    sig, (b, sign) = g.sig, krein_string(g)
+    b = _mul((0, 0, 1 - sign), b)
+    if beta is not None:
+        read = _read_string(np.asarray(beta)) if np.shape(beta) == (g.dim, g.dim) else None
+        if read not in (b, _mul((0, 0, 2), b)):
+            raise ValueError("beta is neither the Krein form of the gamma set nor its negative")
+        b = read
+    if _case_of(sig) == "lorentz":  # omega^2 = (-1)^(n(n-1)/2 + q)
+        phase = 1 + (-1) ** (sig.n * (sig.n - 1) // 2 + sig.q) + 3 * (_reversal_sign(sig.n - 1) < 0)
+        b = _mul((0, 0, phase), _mul(b, _product(g.strings, (1 << sig.n) - 1)))
+    return [_mul(b, t) for t in g.strings]
 
 
-def cone_test(sig: Signature, g: GammaSet, beta: np.ndarray, v) -> ConeVerdict:
+def _scatter(strings: list, coeffs: np.ndarray, d: int) -> np.ndarray:
+    """sum_i coeffs_i times the matrix of strings[i], each string (x, z, k)
+    putting i^k (-1)^popcount(z & c) at (c ^ x, c) of one d x d array."""
+    s, c = np.array(strings), np.arange(d)
+    terms = coeffs[:, None] * _PHASES[(s[:, 2:] + 2 * np.bitwise_count(s[:, 1:2] & c)) % 4]
+    out = np.zeros((d, d), dtype=np.complex128)
+    np.add.at(out, (s[:, :1] ^ c, c), terms)
+    return out
+
+
+def _cone_form(g: GammaSet, beta, x: np.ndarray, qx: float) -> np.ndarray:
+    """The hermitian matrix deciding cone membership of x with Q = qx, as `cone_test` builds it."""
+    return _scatter(_cone_strings(g, beta), x / qx, g.dim)
+
+
+def cone_test(sig: Signature, g: GammaSet, beta, v) -> ConeVerdict:
     """Decide cone membership of v by the definiteness of the spinor form.
 
     The future component is calibrated so that the canonical timelike basis
-    vector (e_1 anti-Lorentz, e_n Lorentz) is future-directed.
+    vector e_i0 (e_1 anti-Lorentz, e_n Lorentz) is future-directed: its form,
+    the string S_i0 / Q(e_i0), must be exactly +1 or -1, and -beta flips it.
     """
     if g.sig != sig:
         raise ValueError(f"signature mismatch: {sig} vs gamma set {g.sig}")
-    _case_of(sig)  # refuses a signature that is neither Lorentz nor anti-Lorentz
+    strings = _cone_strings(g, beta)  # refuses a signature neither Lorentz nor anti-Lorentz
+    i0 = 1 if sig.p == 1 else sig.n
+    tx, tz, k = _mul((0, 0, 1 - sig.eta(i0)), strings[i0 - 1])
+    if tx or tz or k % 2:
+        raise SignatureClassError("canonical timelike vector gives a non-definite form")
     x = _unit_coords(sig, v)
     qx = float(x[: sig.p] @ x[: sig.p] - x[sig.p:] @ x[sig.p:])  # Q(x) = sum_i eta_i x_i^2
     if abs(qx) <= NEAR_NULL_REL_TOL * float(x @ x):
         # open-cone semantics: (near-)null vectors are never inside
         zero = FormSignatureReport(0, 0, g.dim, "degenerate")
         return ConeVerdict(False, "none", zero, near_null=True)
-    report = classify_hermitian(_cone_form(g, beta, x, qx))
+    report = classify_hermitian(_scatter(strings, x / qx, g.dim))
     if not report.is_definite:
         return ConeVerdict(False, "none", report)
-    s = _future_sign(sig, g, beta)
     pos = report.classification == "positive_definite"
-    component = "future" if (pos if s > 0 else not pos) else "past"
-    return ConeVerdict(True, component, report)
-
-
-def _future_sign(sig: Signature, g: GammaSet, beta: np.ndarray) -> int:
-    """+1 if the canonical timelike vector yields a positive definite form.
-
-    Recomputed on every call: the sign depends on ``beta``, and -beta is as
-    valid a Krein form as beta.
-    """
-    i0 = 1 if _case_of(sig) == "antilorentz" else sig.n
-    e0 = np.zeros(sig.n)
-    e0[i0 - 1] = 1.0
-    rep = classify_hermitian(_cone_form(g, beta, e0, sig.eta(i0)))
-    if not rep.is_definite:
-        raise SignatureClassError("canonical timelike vector gives a non-definite form")
-    return 1 if rep.classification == "positive_definite" else -1
+    return ConeVerdict(True, "future" if pos == (k == 0) else "past", report)
 
 
 def krein_positive(beta: np.ndarray, A: np.ndarray) -> bool:
@@ -214,7 +221,7 @@ def chi_shifted_positivity(g: GammaSet, u, v) -> tuple[bool, bool]:
 
     def future(x: Multivector) -> bool:
         try:
-            verdict = cone_test(sig, g, g.beta, x)
+            verdict = cone_test(sig, g, None, x)
         except ValueError:
             return False
         return verdict.in_cone and verdict.component == "future"

@@ -3,7 +3,7 @@
 Gamma matrices are built from a deterministic tensor ladder of 2x2 blocks:
 the Euclidean generators are hermitian and square to +1, and the last q of
 them are multiplied by i.  On top of that sit the compatible Krein form
-and its rotation by a real structure (`rotated_krein_form`), the charge
+and its rotation by a real structure (`sigma_compatible_product`), the charge
 conjugation C (graded: chi C) and the signs of their squares and adjoints.
 
 Every spinor-space operator is a d x d ndarray: the antilinear charge
@@ -21,7 +21,7 @@ Euclidean ladder behind them is built once per n and shared.  `g.beta`
 eps_tilde, kappa_tilde) are scattered from their strings on first access,
 once per `GammaSet` and never shared between two, by `build_krein_form`,
 `chirality` and `build_charge_conjugation`; a `GammaSet` made from other
-matrices has its strings read off, or is refused wherever they are read.
+matrices has its strings read off once, or is refused wherever they are read.
 """
 
 from __future__ import annotations
@@ -122,6 +122,10 @@ class GammaSet:
         return self.gammas[0].shape[0]
 
     @cached_property
+    def strings(self) -> tuple:  # None for a gamma that is no Pauli string
+        return self._ladder or tuple(map(_read_string, self.gammas))
+
+    @cached_property
     def beta(self) -> np.ndarray:
         return build_krein_form(self)
 
@@ -154,11 +158,10 @@ def build_gammas(sig: Signature) -> GammaSet:
 
 
 def _strings(g: GammaSet, refusal: str) -> tuple:
-    """The gammas' Pauli strings, read off unless given; refused when some gamma is none."""
-    s = g._ladder or tuple(map(_read_string, g.gammas))
-    if None in s:
+    """The gammas' Pauli strings; refused when some gamma is none."""
+    if None in g.strings:
         raise RepresentationError(refusal)
-    return s
+    return g.strings
 
 
 def _product(strings: tuple, mask: int):
@@ -207,15 +210,19 @@ def _krein_string(s: tuple, p: int, n: int):
     return b
 
 
+def krein_string(g: GammaSet) -> tuple:
+    """(b, sign): g.beta is sign times the matrix of b, its entry m[0, x] made not negative."""
+    b = _krein_string(_strings(g, _NO_KREIN), g.sig.p, g.sig.n)
+    return b, -1 if (b[2] + 2 * (b[0] & b[1]).bit_count()) % 4 == 2 else 1
+
+
 def build_krein_form(g: GammaSet) -> np.ndarray:
     """Compatible Krein form: the hermitian involutive matrix beta with
     beta gamma_i beta^-1 = gamma_i^dagger, a product of the hermitian (or
     antihermitian) generators.  The gammas are unitary, so the product is
-    already involutive and needs no rescaling (checked, not assumed).  The
-    sign makes the first nonzero entry, m[0, x], not negative."""
-    b = _krein_string(_strings(g, _NO_KREIN), g.sig.p, g.sig.n)
-    m = _dense(b, g.dim)
-    return (-1 if m[0, b[0]].real < 0 else 1) * m
+    already involutive and needs no rescaling (checked, not assumed)."""
+    b, sign = krein_string(g)
+    return sign * _dense(b, g.dim)
 
 
 def krein_adjoint(beta: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -344,17 +351,11 @@ def ko_signs(sig: Signature, case: str) -> KOSigns:
     )
 
 
-def rotated_krein_form(beta: np.ndarray, B: np.ndarray, square: float, alpha: int) -> np.ndarray:
-    """beta rotated by the real Clifford-group element b with rho(b) = B,
-    b^2 = square and b^x = alpha b: the hermitian beta rho(b)^{-1}, or
-    beta (i rho(b))^{-1} = -i beta rho(b)^{-1} when alpha = -1."""
-    mat = beta @ (B / square)
-    return mat if alpha == 1 else -1j * mat
-
-
 def sigma_compatible_product(g: GammaSet, b: AdmissibleRealStructure) -> np.ndarray:
-    """Krein form making rho(a^{x_sigma}) the adjoint of rho(a)."""
-    mat = rotated_krein_form(g.beta, represent(g, b.b), b.lam, b.alpha)
+    """Krein form making rho(a^{x_sigma}) the adjoint of rho(a): beta rotated by b (b^2 = lam,
+    b^x = alpha b), the hermitian beta rho(b)^-1, or -i beta rho(b)^-1 when alpha = -1."""
+    mat = g.beta @ (represent(g, b.b) / b.lam)
+    mat = mat if b.alpha == 1 else -1j * mat
     if np.abs(mat - mat.conj().T).max() > 1e-10 * np.abs(mat).max():
         raise RepresentationError("rotated Krein form is not hermitian")
     return 0.5 * (mat + mat.conj().T)

@@ -134,7 +134,7 @@ def run_cone(seed: int) -> list[tuple[str, bool, str]]:
             qv = quadratic_form(Multivector.from_vector(sig, v)).real
             if abs(qv) < 1e-6:
                 continue
-            verdict = sd.cone_test(sig, g, g.beta, v)
+            verdict = sd.cone_test(sig, g, None, v)
             oracle = sd.cone_membership_oracle(sig, v)
             if verdict.in_cone != (oracle == "timelike"):
                 bad += 1
@@ -147,9 +147,9 @@ def run_cone(seed: int) -> list[tuple[str, bool, str]]:
     ok = True
     for _ in range(100):
         v = _normal(rng, sig.n)
-        r = sd.cone_test(sig, g, g.beta, v)
+        r = sd.cone_test(sig, g, None, v)
         if r.in_cone:
-            r2 = sd.cone_test(sig, g, g.beta, -v)
+            r2 = sd.cone_test(sig, g, None, -v)
             ok = ok and {r.component, r2.component} == {"future", "past"}
     out.append(("antipodal_swap", ok, "cone components swap under v -> -v"))
     return out

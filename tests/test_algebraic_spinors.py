@@ -21,6 +21,7 @@ from krein_clifford.algebraic_spinors import (
     rho_operator_norm,
     span_equal,
 )
+from krein_clifford._kernels import sign_table
 from krein_clifford.cli import main
 from krein_clifford.clifford_core import (
     AdmissibleRealStructure,
@@ -251,6 +252,20 @@ def test_closed_form_ideal_is_the_greedy_one(n):
         greedy = ideal_from_idempotent(ideal.e).basis
         assert np.array_equal(ideal.basis, greedy)
         assert ideal.basis.tobytes() == greedy.tobytes(), (p, n - p)
+
+
+@pytest.mark.parametrize("n", range(2, 11, 2))
+def test_closed_form_idempotent_is_the_product_of_its_factors(n):
+    # bit for bit, signed zeros and term order included, against the
+    # product of the factors (1 + w)/2 as the kernel multiplies them
+    for p in range(n + 1):
+        sig = Signature(p, n - p)
+        S, e = sign_table(p, n), Multivector.unit(sig)
+        for w in [1] + [3 << i for i in range(1, n - 1, 2)]:
+            e = e * Multivector(sig, {0: 0.5, w: 0.5 if S[w, w] > 0 else 0.5j})
+        got = build_primitive_idempotent(sig).e.coeffs
+        assert list(got) == list(e.coeffs), (p, n - p)
+        assert np.array(list(got.values())).tobytes() == np.array(list(e.coeffs.values())).tobytes()
 
 
 def test_span_equal_detects_different_ideals():

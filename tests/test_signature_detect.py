@@ -161,6 +161,80 @@ def test_closed_form_cone_form_matches_products(sig):
     assert kinds == {"future", "past", "none"}
 
 
+def _timelike_and_spacelike(sig, rng, count):
+    """count vectors of both kinds and both time orientations, far from the null cone."""
+    t = 0 if sig.p == 1 else sig.n - 1
+    xs = rng.normal(size=(count, sig.n))
+    xs[:, t] *= rng.uniform(0.1, 2.0, size=count) * np.sqrt(sig.n)
+    return xs
+
+
+STRING_SIGS = [Signature(p, n - p) for n in range(2, 11, 2) for p in {1, n - 1}]
+LARGE_SIGS = [Signature(p, n - p) for n in (12, 14, 16) for p in (1, n - 1)]
+
+
+@pytest.mark.parametrize(
+    "sig,count",
+    [pytest.param(s, 40 if s.n <= 10 else 20, id=f"{s.p},{s.q}") for s in STRING_SIGS + LARGE_SIGS],
+)
+def test_string_verdicts_match_products(sig, count):
+    # for beta and -beta, each of which orients its own cone; the n >= 12
+    # sets alternate the two
+    g, beta = _setup(sig)
+    rng = np.random.default_rng(sig.n + 100 * sig.p)
+    kinds = set()
+    for i, x in enumerate(_timelike_and_spacelike(sig, rng, count)):
+        v = Multivector.from_vector(sig, x)
+        for form in (beta, -beta) if sig.n <= 10 else ((beta, -beta)[i % 2],):
+            verdict = cone_test(sig, g, form, x).as_dict()
+            got = verdict["in_cone"], verdict["component"], verdict["inertia"], verdict["classification"]
+            assert got == _verdict_by_products(sig, g, form, v)
+            kinds.add(verdict["component"])
+        assert cone_test(sig, g, None, x).as_dict() == cone_test(sig, g, beta, x).as_dict()
+    assert kinds == {"future", "past", "none"}
+
+
+@pytest.mark.parametrize("sig", [Signature(1, 3), Signature(5, 1)], ids=lambda s: f"{s.p}{s.q}")
+def test_other_forms_are_refused_before_any_eigendecomposition(sig, monkeypatch):
+    g, beta = _setup(sig)
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(g.dim, g.dim)) + 1j * rng.normal(size=(g.dim, g.dim))
+    eigvalsh = np.linalg.eigvalsh
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigendecomposition before the form was checked")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    t = [1.0] + [0.0] * (sig.n - 1) if sig.p == 1 else [0.0] * (sig.n - 1) + [1.0]
+    for bad in (2 * beta, np.eye(g.dim), a + a.conj().T, beta[:2, :2], np.kron(np.eye(2), beta)):
+        with pytest.raises(ValueError, match="neither the Krein form"):
+            cone_test(sig, g, bad, t)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    for form in (beta, -beta, None):
+        assert cone_test(sig, g, form, t).component == "future"
+
+
+@pytest.mark.parametrize("sig", [Signature(1, 3), Signature(3, 1), Signature(1, 7)], ids=lambda s: f"{s.p}{s.q}")
+def test_one_eigendecomposition_per_cone_test(sig, monkeypatch):
+    g, beta = _setup(sig)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append(1) or eigvalsh(*a, **k))
+    rng = np.random.default_rng(9)
+    seen = set()
+    for x in _timelike_and_spacelike(sig, rng, 20):
+        for form in (beta, None):
+            before = len(calls)
+            verdict = cone_test(sig, g, form, x)
+            assert len(calls) - before == 1
+            seen.add(verdict.in_cone)
+    assert seen == {True, False}
+    null = np.zeros(sig.n)
+    null[0] = null[-1] = 1.0
+    before = len(calls)
+    assert cone_test(sig, g, None, null).near_null and len(calls) == before
+
+
 @pytest.mark.parametrize("sig", LORENTZ_LIKE, ids=lambda s: f"{s.p}{s.q}")
 def test_cone_form_is_the_sigma_compatible_product_of_v(sig):
     # the sign of the multiple follows the sign make_real_structure picks

@@ -202,6 +202,23 @@ def test_hand_built_ladder_is_read_off():
         assert h.charge_conjugation[1:] == g.charge_conjugation[1:]
 
 
+def test_hand_built_strings_are_read_off_once(monkeypatch):
+    import krein_clifford.spinor_rep as sr
+    from krein_clifford.signature_detect import cone_test
+
+    reads = []
+    read = sr._read_string
+    monkeypatch.setattr(sr, "_read_string", lambda m: reads.append(1) or read(m))
+    sig = Signature(1, 3)
+    h = GammaSet(sig, tuple(np.array(m) for m in build_gammas(sig).gammas))
+    v = Multivector.from_vector(sig, [2.0, 0.5, 0.0, 0.0])
+    for _ in range(3):
+        represent(h, v)
+        chirality(h)
+        assert cone_test(sig, h, None, [2.0, 0.5, 0.0, 0.0]).component == "future"
+    assert len(reads) == sig.n
+
+
 def test_non_pauli_matrices_are_not_read_off():
     assert _read_string(_X) == (1, 0, 0) and _read_string(_Y) == (1, 1, 1)
     for m in (2 * _X, (_X + _Y) / np.sqrt(2), np.eye(3), _X + 1e-15, np.zeros((2, 2))):
@@ -550,11 +567,19 @@ def test_spinor_structures_are_built_lazily_and_once(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("built although nothing reads it")
 
-    # `cone` and the rho norm read only the Krein form
+    # `cone` reads the Krein form as a Pauli string, and builds no matrix of it
+    monkeypatch.setattr(sr, "build_krein_form", refuse)
     monkeypatch.setattr(sr, "chirality", refuse)
     monkeypatch.setattr(sr, "build_charge_conjugation", refuse)
     assert cli.main(["--format", "json", "cone", "--p", "1", "--q", "3", "--v", "2,0.5,0,0"]) == 0
     assert '"in_cone": true' in capsys.readouterr().out
+    assert cli.main(["--format", "json", "cone", "--p", "3", "--q", "1", "--v", "0,0.5,0,2"]) == 0
+    assert '"in_cone": true' in capsys.readouterr().out
+    monkeypatch.undo()
+
+    # the rho norm reads only the Krein form
+    monkeypatch.setattr(sr, "chirality", refuse)
+    monkeypatch.setattr(sr, "build_charge_conjugation", refuse)
     sig = Signature(1, 3)
     asp.rho_operator_norm(euclidean_structure(sig), Multivector.basis_vector(sig, 2))
     monkeypatch.undo()
