@@ -28,7 +28,7 @@ from .clifford_core import (
     is_euclidean,
     make_real_structure,
 )
-from .formats import multivector_from_text, multivector_to_text, payload_to_json
+from .formats import multivector_from_text, multivector_to_text, payload_json_pieces
 
 
 def _seed() -> int:
@@ -46,8 +46,10 @@ def _parse_structure(sig: Signature, spec: str) -> AdmissibleRealStructure:
 
 
 def _emit(payload: dict, fmt: str, render) -> int:
-    """Print the payload as JSON, or the lines `render()` returns as text."""
-    print(payload_to_json(payload) if fmt == "json" else "\n".join(render()), flush=True)
+    """Print the payload as JSON, written piece by piece, or the lines `render()` returns as text."""
+    out = sys.stdout  # looked up per call, so that `redirect_stdout` takes effect
+    out.writelines(payload_json_pieces(payload) if fmt == "json" else ["\n".join(render())])
+    print(file=out, flush=True)
     return 0 if payload.get("status", "ok") == "ok" else 1
 
 

@@ -445,13 +445,13 @@ class FormSignatureReport:
 
 
 def hermitian_inertia(H: np.ndarray) -> FormSignatureReport:
-    """Inertia of a hermitian matrix; eigenvalues below DEFINITENESS_TOL*scale count as zero."""
-    H = 0.5 * (H + H.conj().T)
+    """Inertia of a hermitian matrix, read off its lower triangle; eigenvalues
+    below DEFINITENESS_TOL*scale count as zero.  The eigenvalues come sorted,
+    so two bisections count them."""
     w = np.linalg.eigvalsh(H)
-    scale = max(abs(w).max(initial=0.0), 1.0)
-    cut = DEFINITENESS_TOL * scale
-    n_plus = int((w > cut).sum())
-    n_minus = int((w < -cut).sum())
+    cut = DEFINITENESS_TOL * max(-w[0], w[-1], 1.0)
+    n_minus = int(np.searchsorted(w, -cut))
+    n_plus = len(w) - int(np.searchsorted(w, cut, side="right"))
     n_zero = len(w) - n_plus - n_minus
     if n_zero > 0:
         cls = "degenerate"

@@ -98,7 +98,13 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 def payload_to_json(payload) -> str:
     """Exactly ``json.dumps(payload, sort_keys=True, indent=2)``, where a
-    complex ndarray stands for its `matrix_to_json` lists.
+    complex ndarray stands for its `matrix_to_json` lists: the pieces of
+    `payload_json_pieces`, joined."""
+    return "".join(payload_json_pieces(payload))
+
+
+def payload_json_pieces(payload):
+    """The text of `payload_to_json`, in pieces of at most one matrix each.
 
     With ``indent``, ``json`` encodes in pure Python, float by float.  A
     finite matrix is instead written by one ``%`` format of a template
@@ -120,26 +126,27 @@ def _refuse_array(obj):
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _encode(obj, level: int) -> str:
-    """JSON text of `obj` whose first line sits at indent `level`."""
+def _encode(obj, level: int):
+    """Pieces of the JSON text of `obj` whose first line sits at indent `level`."""
     if isinstance(obj, np.ndarray):
         m = np.asarray(obj, dtype=np.complex128)
         if m.ndim == 2 and m.size and np.isfinite(m).all():
             flat = np.ascontiguousarray(m).view(np.float64).ravel().tolist()
-            return _matrix_template(*m.shape, level) % tuple(flat)
+            yield _matrix_template(*m.shape, level) % tuple(flat)
+            return
         obj = matrix_to_json(m)
     try:
         text = json.dumps(obj, sort_keys=True, indent=2, default=_refuse_array)
     except _ArrayFound:
         inner = "\n" + "  " * (level + 1)
-        if isinstance(obj, dict):
-            items = [f"{json.dumps(k)}: {_encode(obj[k], level + 1)}" for k in sorted(obj)]
-            brackets = "{}"
-        else:
-            items = [_encode(x, level + 1) for x in obj]
-            brackets = "[]"
-        return f"{brackets[0]}{inner}{f',{inner}'.join(items)}\n{'  ' * level}{brackets[1]}"
-    return text.replace("\n", "\n" + "  " * level) if level else text
+        is_dict = isinstance(obj, dict)
+        yield "{" if is_dict else "["
+        for i, key in enumerate(sorted(obj) if is_dict else range(len(obj))):
+            yield ("," if i else "") + inner + (f"{json.dumps(key)}: " if is_dict else "")
+            yield from _encode(obj[key], level + 1)
+        yield "\n" + "  " * level + ("}" if is_dict else "]")
+        return
+    yield text.replace("\n", "\n" + "  " * level) if level else text
 
 
 @functools.lru_cache(maxsize=32)

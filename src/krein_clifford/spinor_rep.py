@@ -1,27 +1,26 @@
 """Irreducible spinor representations for even signatures.
 
-Gamma matrices are built from a deterministic tensor ladder of 2x2 blocks:
-the Euclidean generators are hermitian and square to +1, and the last q of
-them are multiplied by i.  On top of that sit the compatible Krein form
-and its rotation by a real structure (`sigma_compatible_product`), the charge
+Each gamma is a Pauli string (x, z, k), i^k X^x Z^z over the n/2 tensor
+factors: it maps column c to row c ^ x with phase i^k (-1)^popcount(z & c).
+gamma_2j and gamma_2j+1 are Z..Z X I..I and Z..Z Y I..I (Brauer-Weyl), times
+i for the last q of them.  On top of that sit the compatible Krein form and
+its rotation by a real structure (`sigma_compatible_product`), the charge
 conjugation C (graded: chi C) and the signs of their squares and adjoints.
 
 Every spinor-space operator is a d x d ndarray: the antilinear charge
 conjugation is its matrix C, acting as psi -> C conj(psi), and two
-antilinear maps A, B compose to the linear map A @ B.conj().  Each ladder
-gamma is also a Pauli string (x, z, k), i^k X^x Z^z over the n/2 tensor
-factors: it maps column c to row c ^ x with phase i^k (-1)^popcount(z & c).
-The string product is the layer's only product rule: `represent`, beta,
-C, chi, the KO signs and the irreducibility certificate are read off
-strings, so each defining relation is an exact integer comparison.
+antilinear maps A, B compose to the linear map A @ B.conj().  The string
+product is the layer's only product rule: `represent`, beta, C, chi, the KO
+signs, the Wick sign transitions and the irreducibility certificate are read
+off strings, so each defining relation is an exact integer comparison.
 
-`build_gammas(sig)` returns a `GammaSet` whose gammas are read-only; the
-Euclidean ladder behind them is built once per n and shared.  `g.beta`
-(the Krein form), `g.chi` (chirality) and `g.charge_conjugation` (C,
-eps_tilde, kappa_tilde) are scattered from their strings on first access,
-once per `GammaSet` and never shared between two, by `build_krein_form`,
-`chirality` and `build_charge_conjugation`; a `GammaSet` made from other
-matrices has its strings read off once, or is refused wherever they are read.
+`build_gammas(sig)` returns a `GammaSet` that carries the strings.  Its
+gammas (read-only, by one stacked scatter), `g.beta` (the Krein form),
+`g.chi` (chirality) and `g.charge_conjugation` (C, eps_tilde, kappa_tilde)
+are scattered from their strings on first access, once per `GammaSet` and
+never shared between two, by `build_krein_form`, `chirality` and
+`build_charge_conjugation`; a `GammaSet` made from other matrices has its
+strings read off once, or is refused wherever they are read.
 """
 
 from __future__ import annotations
@@ -38,13 +37,7 @@ from .clifford_core import (
     hermitian_inertia,
 )
 
-_SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-_SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-_SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-
-
 MAX_N = 16  # spinor dimension 2^(n/2) <= 256 keeps dense matrices desk-scale
-SIGN_TOL = 1e-9  # how far a dense matrix read as a unit sign may stray
 _NO_KREIN = "no hermitian involutive Krein form found"
 _NO_C = "charge conjugation does not intertwine the generators"
 _NO_PAULI = "the gammas are no Pauli strings"
@@ -58,26 +51,6 @@ class RepresentationError(ValueError):
 def _read_only(m: np.ndarray) -> np.ndarray:
     m.flags.writeable = False
     return m
-
-
-@cache
-def _euclidean_generators(n: int) -> tuple[np.ndarray, ...]:
-    """n hermitian anticommuting matrices of size 2^(n/2) squaring to +1.
-
-    Built once per n and shared, so the arrays are read-only.  Every even
-    n <= MAX_N cached at once holds about 21.4 MB, 16.8 MB of it n = 16.
-    """
-    k = n // 2
-    gens = []
-    for j in range(k):
-        pre = [_SIGMA_Z] * j
-        post = [np.eye(2, dtype=np.complex128)] * (k - j - 1)
-        for mid in (_SIGMA_X, _SIGMA_Y):
-            m = np.eye(1, dtype=np.complex128)
-            for f in pre + [mid] + post:
-                m = np.kron(m, f)
-            gens.append(_read_only(m))
-    return tuple(gens)
 
 
 def _mul(a, b):
@@ -94,10 +67,16 @@ def _adj(a):
 
 
 def _dense(s, d: int) -> np.ndarray:
-    """The d x d matrix of the Pauli string s, by one scatter."""
-    c, m = np.arange(d), np.zeros((d, d), dtype=np.complex128)
-    m[c ^ s[0], c] = _PHASES[(s[2] + 2 * np.bitwise_count(s[1] & c)) % 4]
-    return m
+    """The d x d matrix of the Pauli string s, by one scatter.  A tuple of m
+    strings gives their m matrices stacked, by one scatter into m d rows, in
+    which row c ^ x of string j is row (x + j d) ^ c."""
+    c, stack = np.arange(d), isinstance(s[0], tuple)
+    if stack:
+        x, z, k = np.array(s).T[..., None]
+        s = x + d * np.arange(len(x))[:, None], z, k
+    m = np.zeros((len(s[0]) * d if stack else d, d), dtype=np.complex128)
+    m[s[0] ^ c, c] = _PHASES[(s[2] + 2 * np.bitwise_count(s[1] & c)) % 4]
+    return m.reshape(-1, d, d) if stack else m
 
 
 def _read_string(m: np.ndarray):
@@ -114,12 +93,16 @@ def _read_string(m: np.ndarray):
 @dataclass(frozen=True)
 class GammaSet:
     sig: Signature
-    gammas: tuple[np.ndarray, ...]
+    matrices: tuple[np.ndarray, ...] | None = None  # hand-built gammas; None scatters `_ladder`
     _ladder: tuple | None = field(default=None, repr=False)  # the gammas' Pauli strings
 
     @property
     def dim(self) -> int:
-        return self.gammas[0].shape[0]
+        return self.matrices[0].shape[0] if self.matrices else 1 << self.sig.n // 2
+
+    @cached_property
+    def gammas(self) -> tuple[np.ndarray, ...]:
+        return self.matrices or tuple(_read_only(_dense(self._ladder, self.dim)))
 
     @cached_property
     def strings(self) -> tuple:  # None for a gamma that is no Pauli string
@@ -150,11 +133,9 @@ def _ladder_strings(sig: Signature) -> tuple:
 
 
 def build_gammas(sig: Signature) -> GammaSet:
-    """Generator matrices, read-only: hermitian for eta=+1, antihermitian
-    for eta=-1."""
-    strings, gens = _ladder_strings(sig), _euclidean_generators(sig.n)
-    gammas = tuple(g if i < sig.p else _read_only(1j * g) for i, g in enumerate(gens))
-    return GammaSet(sig, gammas, strings)
+    """The gammas of sig as Pauli strings; their matrices, read-only, are
+    hermitian for eta=+1 and antihermitian for eta=-1."""
+    return GammaSet(sig, _ladder=_ladder_strings(sig))
 
 
 def _strings(g: GammaSet, refusal: str) -> tuple:
@@ -229,20 +210,6 @@ def krein_adjoint(beta: np.ndarray, A: np.ndarray) -> np.ndarray:
     return beta @ A.conj().T @ beta
 
 
-def antilinear_adjoint(beta: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Matrix of the adjoint of psi -> C conj(psi) for the form
-    (x, y) = x^dagger beta y; the adjoint is antilinear as well."""
-    return np.linalg.solve(beta, C.T @ beta.conj())
-
-
-def _sign_of(m: np.ndarray, what: str) -> int:
-    """s = +1 or -1 with m = s 1, up to SIGN_TOL."""
-    s = 1 if m[0, 0].real > 0 else -1
-    if np.abs(m - s * np.eye(m.shape[0])).max() > SIGN_TOL:
-        raise RepresentationError(f"{what} is not a unit sign")
-    return s
-
-
 def _unit(s, what: str) -> int:
     """The sign of a Pauli string of +1 or -1."""
     if s[:2] != (0, 0) or s[2] % 2:
@@ -287,13 +254,14 @@ def build_charge_conjugation(g: GammaSet) -> tuple[np.ndarray, int, int]:
     return m / lead * abs(lead), *_string_signs(c, _krein_string(s, g.sig.p, g.sig.n), "C")
 
 
-def commutation_sign(C: np.ndarray, chi: np.ndarray) -> int:
-    """Sign s in C chi = s chi C, C acting as psi -> C conj(psi)."""
-    lhs, rhs = C @ chi.conj(), chi @ C
-    s = 1 if np.vdot(rhs, lhs).real > 0 else -1
-    if np.abs(lhs - s * rhs).max() > SIGN_TOL * np.abs(rhs).max():
-        raise RepresentationError("chi commutation is not a pure sign")
-    return s
+def _chi_string(s: tuple, sig: Signature):
+    """chi as a Pauli string: (-i)^(n/2 + q) gamma_1 ... gamma_n."""
+    return _mul((0, 0, -(sig.n // 2 + sig.q) % 4), _product(s, (1 << sig.n) - 1))
+
+
+def _eps_dprime(c, chi) -> int:
+    """eps'' with C conj(chi) = eps'' chi C, both Pauli strings (chi C is unitary)."""
+    return _unit(_mul(_mul(c, _conj(chi)), _adj(_mul(chi, c))), "C-chi commutation")
 
 
 @dataclass(frozen=True)
@@ -330,10 +298,9 @@ def ko_signs(sig: Signature, case: str) -> KOSigns:
     if sig != case_signature(case, sig.n):
         raise ValueError(f"signature {sig} does not match case {case!r}")
     s = _ladder_strings(sig)
-    beta, C = _krein_string(s, sig.p, sig.n), _conjugation_string(s)
-    chi = _mul((0, 0, -(sig.n // 2 + sig.q) % 4), _product(s, (1 << sig.n) - 1))
+    beta, C, chi = _krein_string(s, sig.p, sig.n), _conjugation_string(s), _chi_string(s, sig)
     eps_tilde, kappa_tilde = _string_signs(C, beta, "C")
-    eps_dprime = _unit(_mul(_mul(C, _conj(chi)), _adj(_mul(chi, C))), "C-chi commutation")
+    eps_dprime = _eps_dprime(C, chi)
     eps, kappa = _string_signs(_mul(chi, C), beta, "J")  # J = chi C
     if eps_tilde != eps_dprime * eps:
         raise RepresentationError("graded/ungraded square signs are inconsistent")
@@ -376,8 +343,11 @@ def positive_sigma_product(g: GammaSet, b: AdmissibleRealStructure) -> np.ndarra
 def wick_sign_transition(from_case: str, sig: Signature, b: AdmissibleRealStructure) -> dict:
     """Measured vs predicted KO-sign changes for a rotation to Euclidean form.
 
-    ``b`` must be a unit vector (antilorentzian source) or the volume
-    element times a unit negative-square vector (Lorentzian source).
+    ``b`` must be a single blade e_K with coefficient 1: a basis vector
+    (antilorentzian source) or the volume element times a negative-square
+    basis vector (Lorentzian source), as `make_sigma_from_vector` gives for
+    e_1 or omega e_n.  Then rho(b), C_E = rho(b) C and the rotated Krein form
+    beta_E are Pauli strings, and every measured sign is exact.
     """
     if from_case not in ("antilorentz", "lorentz"):
         raise ValueError("source case must be antilorentz or lorentz")
@@ -386,17 +356,27 @@ def wick_sign_transition(from_case: str, sig: Signature, b: AdmissibleRealStruct
     expected_grade = 1 if from_case == "antilorentz" else sig.n - 1
     if b.b.grades() != {expected_grade}:
         raise ValueError("rotation element has the wrong grade")
+    (blade, coeff), *rest = b.b.coeffs.items()
+    if rest or coeff != 1:
+        raise ValueError("wick_sign_transition takes a single blade b = e_K with coefficient 1")
 
     source = ko_signs(sig, from_case)
     eps_tilde, kappa_tilde, eps_dprime = source.eps_tilde, source.kappa_tilde, source.eps_dprime
 
-    # b is a general unit vector, no string, so the rotated side is measured densely
-    g = build_gammas(sig)
-    C_E, beta_E = represent(g, b.b) @ g.charge_conjugation[0], positive_sigma_product(g, b)
+    # beta_E, the sigma-compatible form beta rho(b) / lam (times -i when alpha = -1), signed
+    # to be positive: the identity when beta rho(b) / lam is +1 or -1, else b is not Euclidean
+    s = _ladder_strings(sig)
+    rho_b = _product(s, blade)
+    phase = 2 * (b.lam < 0) + 3 * (b.alpha < 0)  # 1 / lam = lam, and -i = i^3
+    beta_E = _mul((0, 0, phase), _mul(_krein_string(s, sig.p, sig.n), rho_b))
+    if beta_E[:2] != (0, 0) or beta_E[2] % 2:
+        raise RepresentationError("sigma-compatible form is not definite; b is not Euclidean")
+    C_E = _mul(rho_b, _conjugation_string(s))
+    measured_eps, measured_kappa = _string_signs(C_E, (0, 0, 0), "C_E")
     measured = {
-        "eps_tilde": _sign_of(C_E @ C_E.conj(), "C_E^2"),
-        "kappa_tilde": _sign_of(antilinear_adjoint(beta_E, C_E) @ C_E.conj(), "C_E^x C_E"),
-        "eps_dprime": commutation_sign(C_E, -g.chi),
+        "eps_tilde": measured_eps,
+        "kappa_tilde": measured_kappa,
+        "eps_dprime": _eps_dprime(C_E, _chi_string(s, sig)),
     }
     factor = 1 if from_case == "antilorentz" else (-1) ** (sig.n // 2 + 1)
     predicted = {

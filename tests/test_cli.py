@@ -60,10 +60,10 @@ def test_ko_table_lorentz_n2(capsys):
 def test_ko_table_refuses_n_above_cap(capsys, monkeypatch):
     from krein_clifford import spinor_rep
 
-    def no_alloc(n):
+    def no_alloc(s, d):
         raise AssertionError("gamma matrices allocated above the cap")
 
-    monkeypatch.setattr(spinor_rep, "_euclidean_generators", no_alloc)
+    monkeypatch.setattr(spinor_rep, "_dense", no_alloc)
     code, out, err = run_cli(capsys, "--format", "json", "ko-table", "--case", "euclidean", "--n", "18")
     assert code == 2 and out == ""
     assert json.loads(err)["status"] == "fail"
@@ -214,12 +214,13 @@ def test_cli_import_fills_no_table():
     # work done at import time would be paid by every process, whatever it runs
     code = (
         "import sys, krein_clifford.cli; from krein_clifford._kernels import sign_table; "
-        "from krein_clifford.spinor_rep import _euclidean_generators as ladder; "
-        "sys.stdout.write(repr([sign_table.cache_info().currsize, ladder.cache_info().currsize]))"
+        "from krein_clifford.spinor_rep import _conjugation_string, _krein_string; "
+        "sys.stdout.write(repr([f.cache_info().currsize "
+        "for f in (sign_table, _krein_string, _conjugation_string)]))"
     )
     proc = _run_fresh(code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[0, 0]"
+    assert proc.stdout == "[0, 0, 0]"
 
 
 @pytest.mark.parametrize("argv", [("wick", "--p", "2", "--q", "0", "--sites", "5"), ("verify", "--suite", "wick")])

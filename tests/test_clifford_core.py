@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from krein_clifford.clifford_core import (
+    DEFINITENESS_TOL,
     AdmissibleRealStructure,
+    FormSignatureReport,
     Multivector,
     NotAdmissible,
     NotInCliffordGroup,
@@ -348,3 +350,36 @@ def test_hermitian_inertia_classifications():
     rep = hermitian_inertia(np.diag([2.0, -3.0, 0.0]))
     assert (rep.n_plus, rep.n_minus, rep.n_zero) == (1, 1, 1)
     assert rep.dimension == 3 and not rep.is_definite
+
+
+def _oracle_inertia(H):
+    """The inertia counted by three passes over the eigenvalues of the symmetrized H."""
+    w = np.linalg.eigvalsh(0.5 * (H + H.conj().T))
+    cut = DEFINITENESS_TOL * max(abs(w).max(initial=0.0), 1.0)
+    n_plus, n_minus = int((w > cut).sum()), int((w < -cut).sum())
+    n_zero = len(w) - n_plus - n_minus
+    cls = ("degenerate" if n_zero else "positive_definite" if not n_minus else
+           "negative_definite" if not n_plus else "neutral" if n_plus == n_minus else "indefinite")
+    return FormSignatureReport(n_plus, n_minus, n_zero, cls)
+
+
+def test_hermitian_inertia_matches_the_three_pass_count(rng):
+    def hermitian(w):
+        u = np.linalg.qr(rng.normal(size=(len(w), len(w))) + 1j * rng.normal(size=(len(w), len(w))))[0]
+        h = u @ np.diag(w) @ u.conj().T
+        return 0.5 * (h + h.conj().T)
+
+    for d in (1, 2, 5, 16):
+        for _ in range(20):
+            h = hermitian(rng.normal(size=d) * 10.0 ** rng.integers(-3, 4))
+            assert hermitian_inertia(h) == _oracle_inertia(h)
+    # eigenvalues just inside and just outside the cut, at scale 1 and at scale 4
+    for top in (1.0, 4.0):
+        cut = DEFINITENESS_TOL * top
+        for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            w = [top, -top / 2] + [s * cut * (1 + e) for s in signs for e in (1e-3, -1e-3)]
+            h = hermitian(np.array(w))
+            rep = hermitian_inertia(h)
+            assert rep == _oracle_inertia(h)
+            # s cut (1 + 1e-3) counts with sign s, s cut (1 - 1e-3) as zero
+            assert (rep.n_plus, rep.n_minus, rep.n_zero) == (1 + signs.count(1), 1 + signs.count(-1), 2)

@@ -128,6 +128,27 @@ def test_payload_to_json_non_finite_matrix():
     assert "NaN" in text and "-Infinity" in text and "Infinity," in text
 
 
+def test_cli_writes_json_one_matrix_at_a_time():
+    # `gammas` streams its payload: no write holds more than one matrix
+    import contextlib
+    import io
+
+    from krein_clifford.cli import main
+
+    class Recorder(io.StringIO):
+        def write(self, s):
+            sizes.append(len(s))
+            return super().write(s)
+
+    sizes, out = [], Recorder()
+    with contextlib.redirect_stdout(out):
+        assert main(["--format", "json", "gammas", "--p", "3", "--q", "3"]) == 0
+    text = out.getvalue()
+    assert text == _dumps(json.loads(text)) + "\n"
+    # 6 gammas, beta, chi and C: nine matrices of about equal length
+    assert len(sizes) > 9 and max(sizes) < len(text) / 8
+
+
 def test_payload_to_json_without_arrays_is_json_dumps():
     payload = {"status": "ok", "spectrum_before": [[0.5, -0.0], [1e-300, 2.0]], "rows": [{"n": 2}]}
     assert payload_to_json(payload) == _dumps(payload)

@@ -109,7 +109,7 @@ def test_algebra_golden(capsys, monkeypatch, rec):
             _assert_matches(json.loads(text), want)
 
 
-@pytest.mark.parametrize("p,q", [(p, n - p) for n in (2, 4, 6, 8) for p in range(n + 1)])
+@pytest.mark.parametrize("p,q", [(p, n - p) for n in (2, 4, 6, 8, 10) for p in range(n + 1)])
 def test_gammas_writes_json_dumps_bytes(capsys, p, q):
     _assert_json_dumps_bytes(_stdout(capsys, "gammas", "--p", str(p), "--q", str(q)))
 

@@ -19,18 +19,16 @@ from krein_clifford.spinor_rep import (
     GammaSet,
     RepresentationError,
     _dense,
-    _euclidean_generators,
     _read_string,
-    antilinear_adjoint,
     build_charge_conjugation,
     build_gammas,
     build_krein_form,
     case_signature,
     chirality,
     commutant_is_scalar,
-    commutation_sign,
     ko_signs,
     krein_adjoint,
+    positive_sigma_product,
     represent,
     sigma_compatible_product,
     wick_sign_transition,
@@ -45,6 +43,14 @@ SIGS_TO_16 = [Signature(p, n - p) for n in range(2, MAX_N + 1, 2) for p in range
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 _Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
+
+
+def _kron_ladder(sig):
+    """The gammas as the kron ladder Z..Z X I..I, Z..Z Y I..I, the last q times i."""
+    k, eye = sig.n // 2, np.eye(2, dtype=np.complex128)
+    gens = [reduce(np.kron, [_Z] * j + [mid] + [eye] * (k - j - 1), np.eye(1, dtype=np.complex128))
+            for j in range(k) for mid in (_X, _Y)]
+    return [g if i < sig.p else 1j * g for i, g in enumerate(gens)]
 
 
 def _kron_intertwiner(lhs, rhs):
@@ -120,6 +126,12 @@ def _oracle_krein_form(g):
     return _oracle_fix_matrix_sign(cand + 0.0)
 
 
+def antilinear_adjoint(beta, C):
+    """Matrix of the adjoint of psi -> C conj(psi) for the form
+    (x, y) = x^dagger beta y; the adjoint is antilinear as well."""
+    return np.linalg.solve(beta, C.T @ beta.conj())
+
+
 def _oracle_sign(m):
     N = m.shape[0]
     s = np.trace(m) / N
@@ -183,12 +195,18 @@ def test_ko_signs_match_the_dense_oracle(case):
 
 
 def test_ladder_strings_build_the_ladder_gammas():
-    # (n, 0) holds the cached ladder itself, (0, n) i times it
-    for n in range(2, MAX_N + 1, 2):
-        for g in (build_gammas(Signature(n, 0)), build_gammas(Signature(0, n))):
-            for s, gam in zip(g._ladder, g.gammas, strict=True):
-                assert np.array_equal(_dense(s, g.dim), gam)
-        if n <= 8:
+    # the stacked scatter gives the kron ladder's values; the bytes differ
+    # only where the ladder holds a negative zero, for the scatter writes none
+    for sig in SIGS_TO_16:
+        g = build_gammas(sig)
+        new, old = np.array(g.gammas).view(np.float64), np.array(_kron_ladder(sig)).view(np.float64)
+        assert np.array_equal(new, old), sig
+        flips = np.signbit(new) != np.signbit(old)
+        assert not new[flips].any() and not np.signbit(new[new == 0]).any(), sig
+        assert flips.sum() == np.signbit(old[old == 0]).sum(), sig
+        for s, gam in zip(g._ladder, g.gammas, strict=True):
+            assert gam.tobytes() == _dense(s, g.dim).tobytes()
+        if sig.n <= 8:
             assert tuple(map(_read_string, g.gammas)) == g._ladder
 
 
@@ -443,27 +461,19 @@ def test_build_gammas_refuses_above_cap():
         ko_signs(Signature(MAX_N + 2, 0), "euclidean")
 
 
-def test_ladder_is_built_once_per_n():
-    _euclidean_generators.cache_clear()
-    gsets = [build_gammas(Signature(p, 6 - p)) for p in range(7)]
-    info = _euclidean_generators.cache_info()
-    assert (info.misses, info.hits) == (1, 6)
-    assert gsets[6].gammas[0] is gsets[1].gammas[0]
-
-
 def test_cached_ladder_and_gammas_are_read_only():
-    for m in _euclidean_generators(4):
-        with pytest.raises(ValueError):
-            m[0, 0] = 2.0
-    for m in build_gammas(Signature(1, 3)).gammas:
+    # the gammas are scattered once per set and kept, so they are read-only
+    g = build_gammas(Signature(1, 3))
+    assert g.gammas is g.gammas and build_gammas(Signature(1, 3)).gammas is not g.gammas
+    for m in g.gammas:
         with pytest.raises(ValueError):
             m[0, 0] = 2.0
         with pytest.raises(ValueError):
             m *= 2.0
 
 
-# cone (1,3) shares the n = 4 ladder with wick (4,0) and cone (7,1) the
-# n = 8 ladder with gammas (5,3) and ko-table n = 8
+# cone (1,3) shares the n = 4 strings with wick (4,0) and cone (7,1) the
+# n = 8 strings with gammas (5,3) and ko-table n = 8
 _CACHE_ORDER_RUNS = [
     ("cone", "--p", "1", "--q", "3", "--v", "2,0.5,0,0"),
     ("cone", "--p", "7", "--q", "1", "--v", "0.5,0,0,0,0,0,0,2"),
@@ -476,20 +486,17 @@ _CACHE_ORDER_RUNS = [
 
 
 def test_output_does_not_depend_on_the_ladder_cache(capsys):
+    # each request alone, then all of them in either order: same bytes
     from krein_clifford.cli import main
 
     def stdout(argv):
         assert main(["--format", "json", *argv]) == 0
         return capsys.readouterr().out
 
-    cold = {}
-    for argv in _CACHE_ORDER_RUNS:
-        _euclidean_generators.cache_clear()
-        cold[argv] = stdout(argv)
+    alone = {argv: stdout(argv) for argv in _CACHE_ORDER_RUNS}
     for order in (_CACHE_ORDER_RUNS, _CACHE_ORDER_RUNS[::-1]):
-        _euclidean_generators.cache_clear()
         for argv in order:
-            assert stdout(argv) == cold[argv], argv
+            assert stdout(argv) == alone[argv], argv
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -525,7 +532,7 @@ def test_commutation_sign_oracle():
     g = build_gammas(sig)
     chi = chirality(g)
     C, _, _ = build_charge_conjugation(g)
-    s = commutation_sign(C, chi)
+    s = _oracle_commutation_sign(C, chi)
     assert np.abs(C @ chi.conj() - s * chi @ C).max() < 1e-9
     # the graded J = chi C anticommutes with every generator
     J = chi @ C
@@ -586,7 +593,7 @@ def test_spinor_structures_are_built_lazily_and_once(monkeypatch, capsys):
 
     # `ko_signs` reads the Pauli strings, and builds none of the matrices
     monkeypatch.setattr(sr, "build_gammas", refuse)
-    monkeypatch.setattr(sr, "_euclidean_generators", refuse)
+    monkeypatch.setattr(sr, "_dense", refuse)
     monkeypatch.setattr(sr, "build_krein_form", refuse)
     monkeypatch.setattr(sr, "chirality", refuse)
     monkeypatch.setattr(sr, "build_charge_conjugation", refuse)
@@ -602,17 +609,55 @@ def test_spinor_structures_are_built_lazily_and_once(monkeypatch, capsys):
     assert build_gammas(sig).beta is not g.beta  # no cache across calls
 
 
-def test_wick_sign_transition_agrees():
-    for n in (2, 4, 6, 8):
-        sig_a = case_signature("antilorentz", n)
-        b_a = make_sigma_from_vector(Multivector.basis_vector(sig_a, 1))
-        r = wick_sign_transition("antilorentz", sig_a, b_a)
-        assert r["agrees"], r
+@pytest.mark.parametrize("argv", [
+    ("cone", "--p", "1", "--q", "3", "--v", "2,0.5,0,0"),
+    ("cone", "--p", "7", "--q", "1", "--v", "0.5,0,0,0,0,0,0,2"),
+    ("cone", "--p", "1", "--q", "15", "--v", "2" + ",0.5" * 15),
+    ("ko-table", "--case", "lorentz", "--n", "2,4,6,8,16"),
+    ("verify", "--suite", "spinor"),
+    ("verify", "--suite", "cone"),
+])
+def test_verbs_read_no_dense_gammas(monkeypatch, capsys, argv):
+    import krein_clifford.spinor_rep as sr
+    from krein_clifford.cli import main
 
-        sig_l = case_signature("lorentz", n)
-        b_l = make_sigma_from_vector(Multivector.basis_vector(sig_l, sig_l.n), graded=True)
-        r = wick_sign_transition("lorentz", sig_l, b_l)
-        assert r["agrees"], r
+    dense = sr._dense
+
+    def one_string_only(s, d):
+        if isinstance(s[0], tuple):
+            raise AssertionError("gammas scattered although nothing reads them")
+        return dense(s, d)
+
+    monkeypatch.setattr(sr, "_dense", one_string_only)
+    assert main(["--format", "json", *argv]) == 0
+    assert '"status": "ok"' in capsys.readouterr().out
+    with pytest.raises(AssertionError, match="nothing reads them"):
+        main(["--format", "json", "gammas", "--p", "1", "--q", "3"])
+
+
+def _wick_cases(n):
+    """(case, sig, b) for the rotation of each source case: b = e_1, or omega e_n."""
+    sig_a, sig_l = case_signature("antilorentz", n), case_signature("lorentz", n)
+    return [("antilorentz", sig_a, make_sigma_from_vector(Multivector.basis_vector(sig_a, 1))),
+            ("lorentz", sig_l, make_sigma_from_vector(Multivector.basis_vector(sig_l, n), graded=True))]
+
+
+def _oracle_wick_measured(sig, b):
+    """The rotated signs read densely: C_E = rho(b) C, beta_E the positive sigma-product."""
+    g = build_gammas(sig)
+    C_E, beta_E = represent(g, b.b) @ g.charge_conjugation[0], positive_sigma_product(g, b)
+    eps_tilde, kappa_tilde = _oracle_antilinear_signs(C_E, beta_E)
+    return {"eps_tilde": eps_tilde, "kappa_tilde": kappa_tilde,
+            "eps_dprime": _oracle_commutation_sign(C_E, g.chi)}
+
+
+def test_wick_sign_transition_agrees():
+    for n in range(2, MAX_N + 1, 2):
+        for case, sig, b in _wick_cases(n):
+            r = wick_sign_transition(case, sig, b)
+            assert r["agrees"] and r["measured"] == r["predicted"], r
+            if n <= 8:
+                assert r["measured"] == _oracle_wick_measured(sig, b), r
 
 
 def test_wick_sign_transition_rejects_bad_input():
@@ -622,3 +667,8 @@ def test_wick_sign_transition_rejects_bad_input():
         wick_sign_transition("euclidean", Signature(4, 0), b)
     with pytest.raises(ValueError):
         wick_sign_transition("lorentz", sig, b)
+    # a unit vector of the right grade, but no single blade
+    two_terms = make_sigma_from_vector(Multivector.from_vector(sig, [1.0, 0.5, 0.0, 0.0]))
+    assert len(two_terms.b.coeffs) == 2
+    with pytest.raises(ValueError, match="single blade"):
+        wick_sign_transition("antilorentz", sig, two_terms)
