@@ -1,5 +1,7 @@
 """Text round trips for multivectors and the JSON payload writer."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from krein_clifford.cli import main
 from krein_clifford.clifford_core import Multivector, Signature
 from krein_clifford.formats import (
     format_complex,
@@ -130,11 +133,6 @@ def test_payload_to_json_non_finite_matrix():
 
 def test_cli_writes_json_one_matrix_at_a_time():
     # `gammas` streams its payload: no write holds more than one matrix
-    import contextlib
-    import io
-
-    from krein_clifford.cli import main
-
     class Recorder(io.StringIO):
         def write(self, s):
             sizes.append(len(s))
