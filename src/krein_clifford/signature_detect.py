@@ -25,7 +25,7 @@ from .clifford_core import (
     hermitian_inertia,
     quadratic_form,
 )
-from .spinor_rep import _PHASES, GammaSet, _mul, _product, _read_string, krein_string, represent
+from .spinor_rep import _PHASES, GammaSet, _mul, _product, krein_string, represent
 
 NEAR_NULL_REL_TOL = 1e-9
 
@@ -57,7 +57,7 @@ class ConeVerdict:
 
 
 def classify_hermitian(H: np.ndarray) -> FormSignatureReport:
-    """Inertia/classification of a hermitian matrix (symmetrized first)."""
+    """Inertia/classification of a hermitian matrix (checked, then read off its lower triangle)."""
     H = np.asarray(H, dtype=np.complex128)
     dev = np.abs(H - H.conj().T).max()
     scale = max(np.abs(H).max(), 1.0)
@@ -118,15 +118,14 @@ def _cone_strings(g: GammaSet, beta) -> list:
     """Strings S_i of the cone form sum_i x_i S_i / Q(v) of v = sum_i x_i e_i: beta rotated by
     b = v (anti-Lorentz) or b = omega v (Lorentz; rho(omega) is the string of gamma_1 ... gamma_n,
     1/(omega v)^2 = -omega^2 / Q(v), and -i = i^3 when omega v has reversal sign -1).  beta is
-    None for the set's Krein form, else that form or its negative, by Schur's lemma the only
-    hermitian involutive compatible forms; any other matrix is refused."""
+    None for the set's Krein form, else a matrix compared exactly with g.beta and -g.beta, by
+    Schur's lemma the only hermitian involutive compatible forms; any other matrix is refused."""
     sig, (b, sign) = g.sig, krein_string(g)
     b = _mul((0, 0, 1 - sign), b)
-    if beta is not None:
-        read = _read_string(np.asarray(beta)) if np.shape(beta) == (g.dim, g.dim) else None
-        if read not in (b, _mul((0, 0, 2), b)):
+    if beta is not None and not np.array_equal(beta, g.beta):
+        if not np.array_equal(beta, -g.beta):
             raise ValueError("beta is neither the Krein form of the gamma set nor its negative")
-        b = read
+        b = _mul((0, 0, 2), b)
     if _case_of(sig) == "lorentz":  # omega^2 = (-1)^(n(n-1)/2 + q)
         phase = 1 + (-1) ** (sig.n * (sig.n - 1) // 2 + sig.q) + 3 * (_reversal_sign(sig.n - 1) < 0)
         b = _mul((0, 0, phase), _mul(b, _product(g.strings, (1 << sig.n) - 1)))

@@ -14,18 +14,17 @@ product is the layer's only product rule: `represent`, beta, C, chi, the KO
 signs, the Wick sign transitions and the irreducibility certificate are read
 off strings, so each defining relation is an exact integer comparison.
 
-`build_gammas(sig)` returns a `GammaSet` that carries the strings.  Its
-gammas (read-only, by one stacked scatter), `g.beta` (the Krein form),
-`g.chi` (chirality) and `g.charge_conjugation` (C, eps_tilde, kappa_tilde)
-are scattered from their strings on first access, once per `GammaSet` and
-never shared between two, by `build_krein_form`, `chirality` and
-`build_charge_conjugation`; a `GammaSet` made from other matrices has its
-strings read off once, or is refused wherever they are read.
+A `GammaSet` is built from the n strings alone; `build_gammas(sig)` passes
+the ladder's.  Its gammas (read-only, by one stacked scatter), `g.beta` (the
+Krein form), `g.chi` (chirality) and `g.charge_conjugation` (C, eps_tilde,
+kappa_tilde) are scattered from their strings on first access, once per
+`GammaSet` and never shared between two, by `build_krein_form`, `chirality`
+and `build_charge_conjugation`.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cache, cached_property, reduce
 
 import numpy as np
@@ -38,9 +37,6 @@ from .clifford_core import (
 )
 
 MAX_N = 16  # spinor dimension 2^(n/2) <= 256 keeps dense matrices desk-scale
-_NO_KREIN = "no hermitian involutive Krein form found"
-_NO_C = "charge conjugation does not intertwine the generators"
-_NO_PAULI = "the gammas are no Pauli strings"
 _PHASES = np.array([1, 1j, -1, complex(0.0, -1.0)])  # i^k; no part is -0.0
 
 
@@ -79,34 +75,27 @@ def _dense(s, d: int) -> np.ndarray:
     return m.reshape(-1, d, d) if stack else m
 
 
-def _read_string(m: np.ndarray):
-    """The Pauli string whose matrix is exactly m, or None."""
-    d, x = m.shape[0], int(np.abs(m[:, 0]).argmax())
-    k = np.flatnonzero(_PHASES == m[x, 0])
-    if d & (d - 1) or not k.size:
-        return None
-    z = sum(1 << b for b in range(d.bit_length() - 1) if m[x ^ 1 << b, 1 << b] != m[x, 0])
-    s = (x, z, int(k[0]))
-    return s if np.array_equal(m, _dense(s, d)) else None
-
-
 @dataclass(frozen=True)
 class GammaSet:
     sig: Signature
-    matrices: tuple[np.ndarray, ...] | None = None  # hand-built gammas; None scatters `_ladder`
-    _ladder: tuple | None = field(default=None, repr=False)  # the gammas' Pauli strings
+    strings: tuple  # the n gammas' Pauli strings (x, z, k)
+
+    def __post_init__(self):
+        s, d, n = self.strings, self.dim, self.sig.n
+        if not (isinstance(s, tuple) and len(s) == n and all(
+            isinstance(t, tuple) and len(t) == 3 and type(t[0]) is type(t[1]) is type(t[2]) is int
+            and 0 <= t[0] < d and 0 <= t[1] < d and 0 <= t[2] < 4 for t in s
+        )):
+            raise RepresentationError(
+                f"a GammaSet takes {n} Pauli strings (x, z, k), 0 <= x, z < {d}, k in 0..3")
 
     @property
     def dim(self) -> int:
-        return self.matrices[0].shape[0] if self.matrices else 1 << self.sig.n // 2
+        return 1 << self.sig.n // 2
 
     @cached_property
     def gammas(self) -> tuple[np.ndarray, ...]:
-        return self.matrices or tuple(_read_only(_dense(self._ladder, self.dim)))
-
-    @cached_property
-    def strings(self) -> tuple:  # None for a gamma that is no Pauli string
-        return self._ladder or tuple(map(_read_string, self.gammas))
+        return tuple(_read_only(_dense(self.strings, self.dim)))
 
     @cached_property
     def beta(self) -> np.ndarray:
@@ -135,14 +124,7 @@ def _ladder_strings(sig: Signature) -> tuple:
 def build_gammas(sig: Signature) -> GammaSet:
     """The gammas of sig as Pauli strings; their matrices, read-only, are
     hermitian for eta=+1 and antihermitian for eta=-1."""
-    return GammaSet(sig, _ladder=_ladder_strings(sig))
-
-
-def _strings(g: GammaSet, refusal: str) -> tuple:
-    """The gammas' Pauli strings; refused when some gamma is none."""
-    if None in g.strings:
-        raise RepresentationError(refusal)
-    return g.strings
+    return GammaSet(sig, _ladder_strings(sig))
 
 
 def _product(strings: tuple, mask: int):
@@ -154,16 +136,15 @@ def represent(g: GammaSet, a: Multivector) -> np.ndarray:
     """Algebra homomorphism: blade -> ordered product of the gammas' strings."""
     if a.sig != g.sig:
         raise RepresentationError(f"signature mismatch: {a.sig} vs {g.sig}")
-    s = _strings(g, _NO_PAULI)
     out = np.zeros((g.dim, g.dim), dtype=np.complex128)
     for mask, coeff in a.coeffs.items():
-        out += coeff * _dense(_product(s, mask), g.dim)
+        out += coeff * _dense(_product(g.strings, mask), g.dim)
     return out
 
 
 def chirality(g: GammaSet) -> np.ndarray:
     """Normalized volume element (-i)^(n/2 + q) gamma_1 ... gamma_n; squares to the identity."""
-    sig, s = g.sig, _strings(g, _NO_PAULI)
+    sig, s = g.sig, g.strings
     return (-1j) ** (sig.n // 2 + sig.q) * _dense(_product(s, (1 << sig.n) - 1), g.dim)
 
 
@@ -174,7 +155,7 @@ def commutant_is_scalar(g: GammaSet) -> bool:
     of their (x, z) pairs.  All d^2 strings span every d x d matrix, fewer a
     proper *-subalgebra, so the commutant is scalar exactly when all are reached."""
     reached = {(0, 0)}
-    for x, z, _ in _strings(g, _NO_PAULI):
+    for x, z, _ in g.strings:
         reached |= {(x ^ rx, z ^ rz) for rx, rz in reached}
     return len(reached) == g.dim**2
 
@@ -187,13 +168,13 @@ def _krein_string(s: tuple, p: int, n: int):
     if _adj(b) == _mul((0, 0, 2), b):
         b = _mul((0, 0, 1), b)
     if _adj(b) != b or _mul(b, b) != (0, 0, 0) or any(_mul(b, _adj(t)) != _mul(t, b) for t in s):
-        raise RepresentationError(_NO_KREIN)
+        raise RepresentationError("no hermitian involutive Krein form found")
     return b
 
 
 def krein_string(g: GammaSet) -> tuple:
     """(b, sign): g.beta is sign times the matrix of b, its entry m[0, x] made not negative."""
-    b = _krein_string(_strings(g, _NO_KREIN), g.sig.p, g.sig.n)
+    b = _krein_string(g.strings, g.sig.p, g.sig.n)
     return b, -1 if (b[2] + 2 * (b[0] & b[1]).bit_count()) % 4 == 2 else 1
 
 
@@ -230,7 +211,7 @@ def _conjugation_string(s: tuple):
     odd = sum(t[2] for t in s) % 2
     c = _product(s, sum(1 << i for i, t in enumerate(s) if t[2] % 2 != odd))
     if any(_mul(c, _conj(t)) != _mul(t, c) for t in s):
-        raise RepresentationError(_NO_C)
+        raise RepresentationError("charge conjugation does not intertwine the generators")
     return c
 
 
@@ -247,11 +228,10 @@ def build_charge_conjugation(g: GammaSet) -> tuple[np.ndarray, int, int]:
     entry, m[0, x]; dividing by it (not multiplying by its inverse) sets
     the signed zeros that `gammas` prints.
     """
-    s = _strings(g, _NO_C)
-    c = _conjugation_string(s)
+    c = _conjugation_string(g.strings)
     m = _dense(c, g.dim)
     lead = m[0, c[0]]
-    return m / lead * abs(lead), *_string_signs(c, _krein_string(s, g.sig.p, g.sig.n), "C")
+    return m / lead * abs(lead), *_string_signs(c, krein_string(g)[0], "C")
 
 
 def _chi_string(s: tuple, sig: Signature):

@@ -25,6 +25,7 @@ from krein_clifford.signature_detect import (
     krein_positive,
 )
 from krein_clifford.spinor_rep import (
+    GammaSet,
     build_gammas,
     build_krein_form,
     represent,
@@ -206,12 +207,37 @@ def test_other_forms_are_refused_before_any_eigendecomposition(sig, monkeypatch)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     t = [1.0] + [0.0] * (sig.n - 1) if sig.p == 1 else [0.0] * (sig.n - 1) + [1.0]
-    for bad in (2 * beta, np.eye(g.dim), a + a.conj().T, beta[:2, :2], np.kron(np.eye(2), beta)):
+    off = []  # beta and -beta, each one ulp off in one nonzero entry
+    for form in (beta, -beta):
+        m, i = form.copy(), np.flatnonzero(form)[-1]
+        m.flat[i] = complex(np.nextafter(m.flat[i].real, np.inf), m.flat[i].imag)
+        off.append(m)
+    for bad in (2 * beta, np.eye(g.dim), a + a.conj().T, beta[:2, :2], np.kron(np.eye(2), beta), *off):
         with pytest.raises(ValueError, match="neither the Krein form"):
             cone_test(sig, g, bad, t)
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     for form in (beta, -beta, None):
         assert cone_test(sig, g, form, t).component == "future"
+
+
+def test_negative_krein_form_swaps_the_inertia_and_keeps_the_component():
+    # a (1,3) set whose gamma_1, and so beta, is imaginary: beta^T = -beta is
+    # the negative form, compared by value; each form orients its own cone
+    s = build_gammas(Signature(1, 3)).strings
+    sig, gamma_1, gamma_2 = Signature(1, 3), s[1][:2] + (1,), s[0][:2] + (1,)  # Y and iX
+    g = GammaSet(sig, (gamma_1, gamma_2) + s[2:])
+    assert np.array_equal(g.beta.T, -g.beta) and not np.array_equal(g.beta.T, g.beta)
+    rng = np.random.default_rng(5)
+    kinds = set()
+    for x in _timelike_and_spacelike(sig, rng, 40):
+        plus = cone_test(sig, g, g.beta, x)
+        for minus in (cone_test(sig, g, -g.beta, x), cone_test(sig, g, g.beta.T, x)):
+            assert (minus.in_cone, minus.component) == (plus.in_cone, plus.component)
+            d, e = plus.definiteness, minus.definiteness
+            assert (e.n_plus, e.n_minus, e.n_zero) == (d.n_minus, d.n_plus, d.n_zero)
+        assert plus.in_cone == (cone_membership_oracle(sig, x) == "timelike")
+        kinds.add(plus.component)
+    assert kinds == {"future", "past", "none"}
 
 
 @pytest.mark.parametrize("sig", [Signature(1, 3), Signature(3, 1), Signature(1, 7)], ids=lambda s: f"{s.p}{s.q}")

@@ -19,7 +19,7 @@ from krein_clifford.spinor_rep import (
     GammaSet,
     RepresentationError,
     _dense,
-    _read_string,
+    _ladder_strings,
     build_charge_conjugation,
     build_gammas,
     build_krein_form,
@@ -204,47 +204,48 @@ def test_ladder_strings_build_the_ladder_gammas():
         flips = np.signbit(new) != np.signbit(old)
         assert not new[flips].any() and not np.signbit(new[new == 0]).any(), sig
         assert flips.sum() == np.signbit(old[old == 0]).sum(), sig
-        for s, gam in zip(g._ladder, g.gammas, strict=True):
+        for s, gam in zip(g.strings, g.gammas, strict=True):
             assert gam.tobytes() == _dense(s, g.dim).tobytes()
-        if sig.n <= 8:
-            assert tuple(map(_read_string, g.gammas)) == g._ladder
 
 
-def test_hand_built_ladder_is_read_off():
-    # the same matrices without the strings `build_gammas` supplies
-    for sig in (Signature(1, 3), Signature(3, 1), Signature(2, 4)):
-        g = build_gammas(sig)
-        h = GammaSet(sig, tuple(np.array(m) for m in g.gammas))
-        assert h.beta.tobytes() == g.beta.tobytes() and h.chi.tobytes() == g.chi.tobytes()
-        assert h.charge_conjugation[0].tobytes() == g.charge_conjugation[0].tobytes()
-        assert h.charge_conjugation[1:] == g.charge_conjugation[1:]
+def _reordered_ladder(sig):
+    """The ladder's strings with the first p and the last q each in reverse
+    order: a Clifford set of sig that `build_gammas` does not give."""
+    s = _ladder_strings(sig)
+    return GammaSet(sig, s[: sig.p][::-1] + s[sig.p:][::-1])
 
 
-def test_hand_built_strings_are_read_off_once(monkeypatch):
-    import krein_clifford.spinor_rep as sr
-    from krein_clifford.signature_detect import cone_test
-
-    reads = []
-    read = sr._read_string
-    monkeypatch.setattr(sr, "_read_string", lambda m: reads.append(1) or read(m))
-    sig = Signature(1, 3)
-    h = GammaSet(sig, tuple(np.array(m) for m in build_gammas(sig).gammas))
-    v = Multivector.from_vector(sig, [2.0, 0.5, 0.0, 0.0])
-    for _ in range(3):
-        represent(h, v)
-        chirality(h)
-        assert cone_test(sig, h, None, [2.0, 0.5, 0.0, 0.0]).component == "future"
-    assert len(reads) == sig.n
+def test_hand_built_strings_match_the_dense_oracle():
+    for sig in (Signature(1, 3), Signature(3, 1), Signature(2, 4), Signature(5, 3)):
+        h = _reordered_ladder(sig)
+        assert h.strings != build_gammas(sig).strings
+        beta, C, eps_tilde, kappa_tilde, chi = _oracle_structures(h)
+        assert h.beta.tobytes() == beta.tobytes() and h.chi.tobytes() == chi.tobytes(), sig
+        assert h.charge_conjugation[0].tobytes() == C.tobytes(), sig
+        assert h.charge_conjugation[1:] == (eps_tilde, kappa_tilde), sig
+        assert commutant_is_scalar(h) and _kron_commutant_is_scalar(h), sig
 
 
-def test_non_pauli_matrices_are_not_read_off():
-    assert _read_string(_X) == (1, 0, 0) and _read_string(_Y) == (1, 1, 1)
-    for m in (2 * _X, (_X + _Y) / np.sqrt(2), np.eye(3), _X + 1e-15, np.zeros((2, 2))):
-        assert _read_string(m) is None
-    g = GammaSet(Signature(1, 1), (_X, 2 * _Y))
-    for refused in (chirality, commutant_is_scalar, lambda g: represent(g, Multivector.unit(g.sig))):
-        with pytest.raises(RepresentationError, match="no Pauli strings"):
-            refused(g)
+def test_gamma_set_takes_only_n_pauli_strings():
+    sig = Signature(1, 1)  # d = 2
+    assert GammaSet(sig, ((1, 0, 0), (1, 1, 2))).dim == 2
+    for bad in (
+        (_X, _Y),  # the matrices themselves
+        ((1, 0, 0),),  # one string too few
+        ((1, 0, 0), (1, 1, 2), (0, 1, 0)),  # one too many
+        ((2, 0, 0), (1, 1, 2)),  # x out of range
+        ((1, 0, 0), (1, 2, 2)),  # z out of range
+        ((1, 0, 0), (1, -1, 2)),
+        ((1, 0, 0), (1, 1, 4)),  # k out of range
+        ((1, 0, 0), (1, 1, -1)),
+        ((1, 0, 0), (1, 1)),  # no phase
+        ((1, 0, 0), (1.0, 1, 2)),  # not an int
+        ((1, 0, 0), (1, True, 2)),
+        ((1, 0, 0), (np.int64(1), 1, 2)),
+        [(1, 0, 0), (1, 1, 2)],  # not a tuple: the strings are hashed
+    ):
+        with pytest.raises(RepresentationError, match="takes 2 Pauli strings"):
+            GammaSet(sig, bad)
 
 
 def test_gamma_clifford_relations():
@@ -321,10 +322,18 @@ def test_irreducibility():
     for sig in (Signature(p, n - p) for n in range(2, 9, 2) for p in range(n + 1)):
         g = build_gammas(sig)
         assert commutant_is_scalar(g) and _kron_commutant_is_scalar(g), sig
-    # X (x) I and Y (x) I generate only the first factor: reducible on C^4
-    eye = np.eye(2, dtype=np.complex128)
-    g = GammaSet(Signature(2, 0), (np.kron(_X, eye), np.kron(_Y, eye)))
-    assert not commutant_is_scalar(g) and not _kron_commutant_is_scalar(g)
+
+
+def test_strings_that_do_not_span_are_reducible():
+    x, y, z = (2, 0, 0), (2, 2, 1), (0, 2, 0)  # X, Y and Z on the first of two factors
+    for sig, strings in (
+        (Signature(2, 0), ((1, 0, 0), (1, 0, 0))),  # gamma_1 = gamma_2 = X
+        (Signature(1, 1), ((1, 0, 0), (1, 0, 1))),  # X and iX
+        (Signature(4, 0), (x, y, x, y)),  # X (x) I and Y (x) I: the first factor only
+        (Signature(4, 0), (z, (0, 1, 0), (0, 3, 0), (0, 0, 0))),  # diagonal strings only
+    ):
+        g = GammaSet(sig, strings)
+        assert not commutant_is_scalar(g) and not _kron_commutant_is_scalar(g), strings
 
 
 def test_chirality_properties():
@@ -423,28 +432,27 @@ def test_charge_conjugation_closed_form_up_to_n12():
 
 
 def test_charge_conjugation_rejects_non_ladder_generators():
-    sig = Signature(1, 1)
-    # (X + Y)/sqrt 2 is neither real nor imaginary
-    with pytest.raises(RepresentationError):
-        build_charge_conjugation(GammaSet(sig, (_X, (_X + _Y) / np.sqrt(2))))
-    # X Y Z Z is no Clifford set: the product X fails to commute with Z
-    sig = Signature(2, 2)
-    with pytest.raises(RepresentationError):
-        build_charge_conjugation(GammaSet(sig, (_X, _Y, _Z, _Z)))
+    # X Y Z Z on the first factor is no Clifford set: the product X fails to commute with Z
+    with pytest.raises(RepresentationError, match="does not intertwine"):
+        build_charge_conjugation(GammaSet(Signature(2, 2), ((2, 0, 0), (2, 2, 1), (0, 2, 0), (0, 2, 0))))
+    # Y Y: the product of the imaginary gammas is 1, which fails to commute with Y
+    with pytest.raises(RepresentationError, match="does not intertwine"):
+        build_charge_conjugation(GammaSet(Signature(2, 0), ((1, 1, 1), (1, 1, 1))))
 
 
 def test_krein_form_rejects_non_clifford_generators():
-    # the candidate X is hermitian and involutive but X (2Y)^dagger != 2Y X
-    with pytest.raises(RepresentationError):
-        build_krein_form(GammaSet(Signature(1, 1), (_X, 2 * _Y)))
+    # X and Z both square to 1, so they are no (1,1) set: the candidate X is
+    # hermitian and involutive but X Z^dagger != Z X
+    with pytest.raises(RepresentationError, match="no hermitian involutive"):
+        build_krein_form(GammaSet(Signature(1, 1), ((1, 0, 0), (0, 1, 0))))
 
 
 def test_krein_form_is_not_rescaled():
     # 2X and 2iY anticommute but square to +/-4, so they represent no
-    # Clifford algebra; the candidate 2X is hermitian and intertwines
-    # them but is not involutive, and it is refused, not rescaled to X
-    with pytest.raises(RepresentationError, match="no hermitian involutive"):
-        build_krein_form(GammaSet(Signature(1, 1), (2 * _X, 2j * _Y)))
+    # Clifford algebra; a string carries a unit phase, so the set is refused
+    # when it is made, and no scaled candidate reaches the Krein form
+    with pytest.raises(RepresentationError, match="takes 2 Pauli strings"):
+        GammaSet(Signature(1, 1), (2 * _X, 2j * _Y))
 
 
 def test_krein_form_keeps_positive_zeros():
