@@ -35,7 +35,7 @@ from .clifford_core import (
     left_multiplication_matrix,
     sigma_product_gram,
 )
-from .spinor_rep import _PHASES, build_gammas, positive_sigma_product, represent
+from .spinor_rep import VALUES, build_gammas, positive_sigma_product, represent
 
 SPAN_TOL = 1e-10  # max |coefficient| of b a - b read as zero
 ISOTROPY_TOL = 1e-12  # max |coefficient| of e e^{x_sigma} read as zero
@@ -111,7 +111,7 @@ def build_primitive_idempotent(sig: Signature) -> IdempotentIdeal:
     S, terms = sign_table(sig.p, sig.n), [(0, 0)]
     for w in [1] + [3 << i for i in range(1, sig.n - 1, 2)]:  # e_1, e_23, e_45, ...
         terms = [t for m, k in terms for t in ((m, k), (m | w, k + int(S[w, w] < 0)))]
-    e = Multivector(sig, {m: 0.5 ** (sig.n // 2) * _PHASES[k % 4] for m, k in terms})
+    e = Multivector(sig, {m: 0.5 ** (sig.n // 2) * VALUES[k % 4] for m, k in terms})
     masks = np.arange(1 << sig.n)
     evens = masks[masks & sum(2 << i for i in range(0, sig.n, 2)) == masks]  # e_2, e_4, ...
     return IdempotentIdeal(e, _right_products(e, evens))

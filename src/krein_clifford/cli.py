@@ -28,7 +28,7 @@ from .clifford_core import (
     is_euclidean,
     make_real_structure,
 )
-from .formats import multivector_from_text, multivector_to_text, payload_json_pieces
+from .formats import Monomial, multivector_from_text, multivector_to_text, payload_json_pieces
 
 
 def _seed() -> int:
@@ -211,14 +211,19 @@ def cmd_ideal(args) -> int:
 def cmd_gammas(args) -> int:
     sig = _sig(args)
     g = sr.build_gammas(sig)
-    C, eps_tilde, kappa_tilde = g.charge_conjugation
+    c, c_values, eps_tilde, kappa_tilde = sr.conjugation_values(g)
+    printed = [(s, sr.VALUES) for s in g.strings]  # each matrix as its string and values table
+    printed += [sr.krein_values(g), sr.chirality_values(g), (c, c_values)]
+    strings, tables = zip(*printed)
+    index = sr.entries(strings, np.arange(g.dim))  # one row per string
+    *gammas, beta, chi, C = map(Monomial, [s[0] for s in strings], index, tables)
     payload = {
         "status": "ok",
         "sig": [sig.p, sig.q],
         "dim": g.dim,
-        "gammas": list(g.gammas),
-        "beta": g.beta,
-        "chirality": g.chi,
+        "gammas": gammas,
+        "beta": beta,
+        "chirality": chi,
         "charge_conjugation": C,
         "eps_tilde": eps_tilde,
         "kappa_tilde": kappa_tilde,

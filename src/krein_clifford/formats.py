@@ -8,7 +8,8 @@ reader ignores whitespace and takes each term as a run of `+`/`-` signs
 imaginary literal, a bare `i` or `j`, or a parenthesised complex, then an
 optional `*`) and an optional blade in either form.  A term without
 coefficient or blade (a dangling sign), a non-finite coefficient and a
-repeated or out-of-range index are refused.
+repeated or out-of-range index are refused.  The JSON writer takes ndarrays
+and `Monomial` matrices (one nonzero entry per row, as a Pauli string's).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import cmath
 import functools
 import json
 import re
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,45 +98,54 @@ def matrix_to_json(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
+@dataclass(frozen=True, eq=False)
+class Monomial:
+    """The square matrix whose column c holds values[index[c]] at row c ^ x
+    and values[-1] in every other entry: one nonzero entry per row.  `index`
+    holds ints, `values` complex128."""
+
+    x: int
+    index: np.ndarray
+    values: np.ndarray
+
+
 def payload_to_json(payload) -> str:
     """Exactly ``json.dumps(payload, sort_keys=True, indent=2)``, where a
-    complex ndarray stands for its `matrix_to_json` lists: the pieces of
-    `payload_json_pieces`, joined."""
+    complex ndarray or a `Monomial` stands for its `matrix_to_json` lists:
+    the pieces of `payload_json_pieces`, joined."""
     return "".join(payload_json_pieces(payload))
 
 
 def payload_json_pieces(payload):
     """The text of `payload_to_json`, in pieces of at most one matrix each.
 
-    With ``indent``, ``json`` encodes in pure Python, float by float.  A
-    finite matrix is instead written by one ``%`` format of a template
-    cached per shape and depth: ``%r`` of a float is ``float.__repr__``,
-    which is what ``json`` writes, ``-0.0`` included.  A payload holding
-    no ndarray goes through a single ``json.dumps``.
+    A payload holding no matrix goes through a single ``json.dumps``, and
+    so does each ndarray, as its `matrix_to_json` lists.  A `Monomial` is
+    written row by row: ``json`` writes each value of its table once, one
+    row of zero entries is joined once, and each row is that row with its
+    one entry sliced in, so a d x d matrix costs O(d) Python steps, not 2 d^2.
     """
     return _encode(payload, 0)
 
 
 class _ArrayFound(Exception):
-    """An ndarray met by ``json.dumps``: its container is encoded piece by piece."""
+    """A matrix met by ``json.dumps``: its container is encoded piece by piece."""
 
 
 def _refuse_array(obj):
-    """``json.dumps`` hook: stop at the first ndarray, refuse what json refuses."""
-    if isinstance(obj, np.ndarray):
+    """``json.dumps`` hook: stop at the first matrix, refuse what json refuses."""
+    if isinstance(obj, (np.ndarray, Monomial)):
         raise _ArrayFound
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _encode(obj, level: int):
     """Pieces of the JSON text of `obj` whose first line sits at indent `level`."""
+    if isinstance(obj, Monomial):
+        yield _monomial_text(obj, level)
+        return
     if isinstance(obj, np.ndarray):
-        m = np.asarray(obj, dtype=np.complex128)
-        if m.ndim == 2 and m.size and np.isfinite(m).all():
-            flat = np.ascontiguousarray(m).view(np.float64).ravel().tolist()
-            yield _matrix_template(*m.shape, level) % tuple(flat)
-            return
-        obj = matrix_to_json(m)
+        obj = matrix_to_json(obj)
     try:
         text = json.dumps(obj, sort_keys=True, indent=2, default=_refuse_array)
     except _ArrayFound:
@@ -149,9 +160,22 @@ def _encode(obj, level: int):
     yield text.replace("\n", "\n" + "  " * level) if level else text
 
 
-@functools.lru_cache(maxsize=32)
-def _matrix_template(rows: int, cols: int, level: int) -> str:
-    """`%r` format string of a rows x cols `matrix_to_json` list at indent `level`."""
-    i1, i2, i3 = ("\n" + "  " * (level + k) for k in (1, 2, 3))
-    row = f"[{i2}" + f",{i2}".join([f"[{i3}%r,{i3}%r{i2}]"] * cols) + f"{i1}]"
-    return f"[{i1}" + f",{i1}".join([row] * rows) + "\n" + "  " * level + "]"
+def _monomial_text(m: Monomial, level: int) -> str:
+    """The `matrix_to_json` text of m at indent `level`."""
+    index = m.index.tolist()
+    texts, row = _entry_texts(m.values.tobytes(), len(index), level)
+    i1, i2, zero = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2), len(texts[-1])
+    step = zero + len(i2) + 1  # an entry and the separator after it
+    rows = [row[:c * step] + texts[index[c]] + row[c * step + zero:]
+            for c in [r ^ m.x for r in range(len(index))]]
+    return f"[{i1}[{i2}" + f"{i1}],{i1}[{i2}".join(rows) + f"{i1}]\n" + "  " * level + "]"
+
+
+@functools.lru_cache(maxsize=64)
+def _entry_texts(values: bytes, d: int, level: int) -> tuple[list[str], str]:
+    """The text of each complex128 in `values` as a `matrix_to_json` entry at indent `level`,
+    and a row of d of the last; keyed on the bytes, for 0j == -0j and both hash alike."""
+    i2, i3 = "\n" + "  " * (level + 2), "\n" + "  " * (level + 3)
+    parts = json.dumps(np.frombuffer(values).tolist())[1:-1].split(", ")  # re, im, re, ...
+    texts = [f"[{i3}{re},{i3}{im}{i2}]" for re, im in zip(parts[::2], parts[1::2])]
+    return texts, f",{i2}".join([texts[-1]] * d)

@@ -25,7 +25,7 @@ from .clifford_core import (
     hermitian_inertia,
     quadratic_form,
 )
-from .spinor_rep import _PHASES, GammaSet, _mul, _product, krein_string, represent
+from .spinor_rep import VALUES, GammaSet, _mul, _product, entries, krein_string, represent
 
 NEAR_NULL_REL_TOL = 1e-9
 
@@ -136,7 +136,7 @@ def _scatter(strings: list, coeffs: np.ndarray, d: int) -> np.ndarray:
     """sum_i coeffs_i times the matrix of strings[i], each string (x, z, k)
     putting i^k (-1)^popcount(z & c) at (c ^ x, c) of one d x d array."""
     s, c = np.array(strings), np.arange(d)
-    terms = coeffs[:, None] * _PHASES[(s[:, 2:] + 2 * np.bitwise_count(s[:, 1:2] & c)) % 4]
+    terms = coeffs[:, None] * VALUES[entries(strings, c)]
     out = np.zeros((d, d), dtype=np.complex128)
     np.add.at(out, (s[:, :1] ^ c, c), terms)
     return out

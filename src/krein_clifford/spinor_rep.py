@@ -19,7 +19,10 @@ the ladder's.  Its gammas (read-only, by one stacked scatter), `g.beta` (the
 Krein form), `g.chi` (chirality) and `g.charge_conjugation` (C, eps_tilde,
 kappa_tilde) are scattered from their strings on first access, once per
 `GammaSet` and never shared between two, by `build_krein_form`, `chirality`
-and `build_charge_conjugation`.
+and `build_charge_conjugation`.  Each scatters its string with a values table
+(`krein_values`, `chirality_values`, `conjugation_values`): VALUES = [1, i,
+-1, -i, zero] times the sign (beta), (-i)^(n/2 + q) (chi) or / lead * |lead|
+(C).  `gammas` writes its JSON from the same tables, with no matrix.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .clifford_core import (
 )
 
 MAX_N = 16  # spinor dimension 2^(n/2) <= 256 keeps dense matrices desk-scale
-_PHASES = np.array([1, 1j, -1, complex(0.0, -1.0)])  # i^k; no part is -0.0
+VALUES = np.array([1, 1j, -1, complex(0.0, -1.0), 0])  # i^k for k = 0..3, then zero; no -0.0
 
 
 class RepresentationError(ValueError):
@@ -62,16 +65,25 @@ def _adj(a):
     return a[0], a[1], (2 * (a[0] & a[1]).bit_count() - a[2]) % 4
 
 
-def _dense(s, d: int) -> np.ndarray:
-    """The d x d matrix of the Pauli string s, by one scatter.  A tuple of m
-    strings gives their m matrices stacked, by one scatter into m d rows, in
-    which row c ^ x of string j is row (x + j d) ^ c."""
+def entries(s, c: np.ndarray) -> np.ndarray:
+    """k of the entry i^k of string s in each column c, at row c ^ x: its index in
+    VALUES.  A sequence of strings gives one row per string."""
+    _, z, k = np.array(s).T[..., None] if isinstance(s[0], tuple) else s
+    return (k + 2 * np.bitwise_count(z & c)) % 4
+
+
+def _dense(s, d: int, values: np.ndarray = VALUES) -> np.ndarray:
+    """The d x d matrix of the Pauli string s, by one scatter of `values`
+    (VALUES under one scale): values[k] for i^k, values[4] for zero.  A tuple
+    of m strings gives their m matrices stacked, by one scatter into m d
+    rows, in which row c ^ x of string j is row (x + j d) ^ c."""
     c, stack = np.arange(d), isinstance(s[0], tuple)
     if stack:
         x, z, k = np.array(s).T[..., None]
         s = x + d * np.arange(len(x))[:, None], z, k
-    m = np.zeros((len(s[0]) * d if stack else d, d), dtype=np.complex128)
-    m[s[0] ^ c, c] = _PHASES[(s[2] + 2 * np.bitwise_count(s[1] & c)) % 4]
+    m = np.empty((len(s[0]) * d if stack else d, d), dtype=np.complex128)
+    m.fill(values[4])
+    m[s[0] ^ c, c] = values[entries(s, c)]
     return m.reshape(-1, d, d) if stack else m
 
 
@@ -110,6 +122,7 @@ class GammaSet:
         return build_charge_conjugation(self)
 
 
+@cache  # a pure function of sig; a refusal raises again on every call
 def _ladder_strings(sig: Signature) -> tuple:
     """Pauli strings of the gammas of `build_gammas(sig)`, which refuse n above MAX_N."""
     if sig.n > MAX_N:
@@ -142,10 +155,16 @@ def represent(g: GammaSet, a: Multivector) -> np.ndarray:
     return out
 
 
+def chirality_values(g: GammaSet) -> tuple:
+    """(string, values) of g.chi: gamma_1 ... gamma_n and (-i)^(n/2 + q) * VALUES."""
+    sig = g.sig
+    return _product(g.strings, (1 << sig.n) - 1), (-1j) ** (sig.n // 2 + sig.q) * VALUES
+
+
 def chirality(g: GammaSet) -> np.ndarray:
     """Normalized volume element (-i)^(n/2 + q) gamma_1 ... gamma_n; squares to the identity."""
-    sig, s = g.sig, g.strings
-    return (-1j) ** (sig.n // 2 + sig.q) * _dense(_product(s, (1 << sig.n) - 1), g.dim)
+    s, values = chirality_values(g)
+    return _dense(s, g.dim, values)
 
 
 def commutant_is_scalar(g: GammaSet) -> bool:
@@ -178,13 +197,19 @@ def krein_string(g: GammaSet) -> tuple:
     return b, -1 if (b[2] + 2 * (b[0] & b[1]).bit_count()) % 4 == 2 else 1
 
 
+def krein_values(g: GammaSet) -> tuple:
+    """(string, values) of g.beta: b and sign * VALUES."""
+    b, sign = krein_string(g)
+    return b, sign * VALUES
+
+
 def build_krein_form(g: GammaSet) -> np.ndarray:
     """Compatible Krein form: the hermitian involutive matrix beta with
     beta gamma_i beta^-1 = gamma_i^dagger, a product of the hermitian (or
     antihermitian) generators.  The gammas are unitary, so the product is
     already involutive and needs no rescaling (checked, not assumed)."""
-    b, sign = krein_string(g)
-    return sign * _dense(b, g.dim)
+    b, values = krein_values(g)
+    return _dense(b, g.dim, values)
 
 
 def krein_adjoint(beta: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -215,6 +240,13 @@ def _conjugation_string(s: tuple):
     return c
 
 
+def conjugation_values(g: GammaSet) -> tuple:
+    """(c, VALUES / lead * |lead|, eps_tilde, kappa_tilde), lead the entry m[0, x] of c."""
+    c = _conjugation_string(g.strings)
+    lead = VALUES[(c[2] + 2 * (c[1] & c[0]).bit_count()) % 4]
+    return c, VALUES / lead * abs(lead), *_string_signs(c, krein_string(g)[0], "C")
+
+
 def build_charge_conjugation(g: GammaSet) -> tuple[np.ndarray, int, int]:
     """Matrix C of the antilinear psi -> C conj(psi) with C gamma_i C^-1 = gamma_i.
 
@@ -228,10 +260,8 @@ def build_charge_conjugation(g: GammaSet) -> tuple[np.ndarray, int, int]:
     entry, m[0, x]; dividing by it (not multiplying by its inverse) sets
     the signed zeros that `gammas` prints.
     """
-    c = _conjugation_string(g.strings)
-    m = _dense(c, g.dim)
-    lead = m[0, c[0]]
-    return m / lead * abs(lead), *_string_signs(c, krein_string(g)[0], "C")
+    c, values, eps_tilde, kappa_tilde = conjugation_values(g)
+    return _dense(c, g.dim, values), eps_tilde, kappa_tilde
 
 
 def _chi_string(s: tuple, sig: Signature):

@@ -36,7 +36,7 @@ from .clifford_core import (
     Signature,
     make_sigma_from_vector,
 )
-from .spinor_rep import GammaSet, build_gammas, represent
+from .spinor_rep import GammaSet, _dense, build_gammas, represent
 
 # Largest lattice dimension N^n * d accepted; (4,0) N=16 sits exactly at it.
 MAX_DIM = 1 << 18
@@ -116,11 +116,13 @@ def _site_block(spec: LatticeSpec, m: np.ndarray, what: str) -> np.ndarray:
 
 
 def build_flat_dirac(spec: LatticeSpec, g: GammaSet) -> FieldOperator:
-    """D = -i sum_mu gamma^mu (x) d_mu, index raised by the flat metric."""
+    """D = -i sum_mu gamma^mu (x) d_mu, index raised by the flat metric: each
+    block -i eta_mu gamma_mu is the string of gamma_mu times i^3 (eta = +1) or i."""
     if g.sig != spec.sig:
         raise ValueError("gamma set and lattice have different signatures")
-    up = [-1j * spec.sig.eta(mu + 1) * gam for mu, gam in enumerate(g.gammas)]
-    return FieldOperator(spec, np.stack([np.zeros_like(up[0]), *up]))
+    p, d = spec.sig.p, g.dim
+    up = _dense(tuple((x, z, (k + 3 - 2 * (i >= p)) % 4) for i, (x, z, k) in enumerate(g.strings)), d)
+    return FieldOperator(spec, np.concatenate([np.zeros_like(up[:1]), up]))
 
 
 def build_fundamental_symmetry(g: GammaSet, b: AdmissibleRealStructure) -> np.ndarray:

@@ -214,13 +214,13 @@ def test_cli_import_fills_no_table():
     # work done at import time would be paid by every process, whatever it runs
     code = (
         "import sys, krein_clifford.cli; from krein_clifford._kernels import sign_table; "
-        "from krein_clifford.spinor_rep import _conjugation_string, _krein_string; "
+        "from krein_clifford.spinor_rep import _conjugation_string, _krein_string, _ladder_strings; "
         "sys.stdout.write(repr([f.cache_info().currsize "
-        "for f in (sign_table, _krein_string, _conjugation_string)]))"
+        "for f in (sign_table, _krein_string, _conjugation_string, _ladder_strings)]))"
     )
     proc = _run_fresh(code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[0, 0, 0]"
+    assert proc.stdout == "[0, 0, 0, 0]"
 
 
 @pytest.mark.parametrize("argv", [("wick", "--p", "2", "--q", "0", "--sites", "5"), ("verify", "--suite", "wick")])

@@ -1,6 +1,7 @@
 """Text round trips for multivectors and the JSON payload writer."""
 
 import contextlib
+import hashlib
 import io
 import json
 
@@ -9,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from krein_clifford import spinor_rep as sr
 from krein_clifford.cli import main
 from krein_clifford.clifford_core import Multivector, Signature
 from krein_clifford.formats import (
+    Monomial,
     format_complex,
     matrix_to_json,
     multivector_from_text,
@@ -145,6 +148,64 @@ def test_cli_writes_json_one_matrix_at_a_time():
     assert text == _dumps(json.loads(text)) + "\n"
     # 6 gammas, beta, chi and C: nine matrices of about equal length
     assert len(sizes) > 9 and max(sizes) < len(text) / 8
+
+
+def _monomial_oracle(m):
+    """The dense matrix of a `Monomial`, entry by entry."""
+    d = len(m.index)
+    out = np.full((d, d), m.values[-1])
+    for c in range(d):
+        out[c ^ m.x, c] = m.values[m.index[c]]
+    return out
+
+
+def test_monomials_keep_their_own_zero():
+    # 0j == complex(-0.0, -0.0), and both hash alike: a text cached on the
+    # values would print the second matrix's zeros with the first's sign
+    index, units = np.array([0, 1, 2, 3]), [1, 1j, -1, complex(0.0, -1.0)]
+    plus = Monomial(1, index, np.array([*units, 0j]))
+    minus = Monomial(2, index, np.array([*units, complex(-0.0, -0.0)]))
+    assert tuple(minus.values) == tuple(plus.values) and hash(tuple(minus.values)) == hash(tuple(plus.values))
+    payload = {"beta": plus, "chirality": minus, "gammas": [minus, plus]}
+    text = payload_to_json(payload)
+    dense = {k: [matrix_to_json(_monomial_oracle(m)) for m in v] if isinstance(v, list)
+             else matrix_to_json(_monomial_oracle(v)) for k, v in payload.items()}
+    assert text == _dumps(dense)
+    assert text.count("-0.0") == 2 * 12 * 2  # both parts of the 12 zeros of minus, twice
+
+
+def _gammas_json(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["--format", "json", "gammas", *argv]) == 0
+    return out.getvalue()
+
+
+def test_gammas_json_is_the_dense_payload_byte_for_byte(monkeypatch):
+    # the JSON is written from Pauli strings; the reference encodes the dense
+    # matrices of the same GammaSet through json, -0.0 included
+    for n in range(2, 13, 2):
+        for p in range(n + 1):
+            sig = Signature(p, n - p)
+            with monkeypatch.context() as m:
+                m.setattr(sr, "_dense", None)  # no dense matrix on the JSON path
+                text = _gammas_json("--p", str(p), "--q", str(n - p))
+            g = sr.build_gammas(sig)
+            C, eps_tilde, kappa_tilde = g.charge_conjugation
+            want = {"status": "ok", "sig": [p, n - p], "dim": g.dim,
+                    "gammas": [matrix_to_json(x) for x in g.gammas], "beta": matrix_to_json(g.beta),
+                    "chirality": matrix_to_json(g.chi), "charge_conjugation": matrix_to_json(C),
+                    "eps_tilde": eps_tilde, "kappa_tilde": kappa_tilde}
+            assert text == _dumps(want) + "\n", sig
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("--p", "16", "--q", "0"), "9cd3746c75c4cc2e2fbc69a7aabb7ff58ede1fcb6ac8f9fa8ffae1e3f2be1b69"),
+    (("--p", "1", "--q", "15"), "9dc72add96a53bce9c217a12022e34fda3897515cbb2be821f1d1e1c5feb65d7"),
+])
+def test_gammas_json_at_n16_keeps_its_bytes(argv, digest):
+    # sha256 of the stdout written when every matrix was a dense ndarray
+    assert hashlib.sha256(_gammas_json(*argv).encode()).hexdigest() == digest
 
 
 def test_payload_to_json_without_arrays_is_json_dumps():

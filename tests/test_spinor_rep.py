@@ -463,8 +463,10 @@ def test_krein_form_keeps_positive_zeros():
 
 def test_build_gammas_refuses_above_cap():
     assert build_gammas(Signature(MAX_N - 1, 1)).dim == 256
-    with pytest.raises(RepresentationError):
-        build_gammas(Signature(MAX_N + 2, 0))
+    for _ in range(2):  # the ladder's strings are cached per signature, a refusal is not
+        with pytest.raises(RepresentationError):
+            build_gammas(Signature(MAX_N + 2, 0))
+    assert _ladder_strings(Signature(1, 3)) is build_gammas(Signature(1, 3)).strings
     with pytest.raises(RepresentationError):
         ko_signs(Signature(MAX_N + 2, 0), "euclidean")
 
@@ -624,23 +626,23 @@ def test_spinor_structures_are_built_lazily_and_once(monkeypatch, capsys):
     ("ko-table", "--case", "lorentz", "--n", "2,4,6,8,16"),
     ("verify", "--suite", "spinor"),
     ("verify", "--suite", "cone"),
+    ("gammas", "--p", "3", "--q", "3"),
+    ("wick", "--p", "2", "--q", "0", "--sites", "5"),
+    ("wick", "--p", "4", "--q", "0", "--sites", "3", "--to", "lorentz"),
 ])
 def test_verbs_read_no_dense_gammas(monkeypatch, capsys, argv):
+    # `gammas` writes its JSON and `wick` its blocks -i eta_mu gamma_mu from strings
     import krein_clifford.spinor_rep as sr
     from krein_clifford.cli import main
 
-    dense = sr._dense
+    def refuse(g):
+        raise AssertionError("gammas scattered although nothing reads them")
 
-    def one_string_only(s, d):
-        if isinstance(s[0], tuple):
-            raise AssertionError("gammas scattered although nothing reads them")
-        return dense(s, d)
-
-    monkeypatch.setattr(sr, "_dense", one_string_only)
+    monkeypatch.setattr(sr.GammaSet, "gammas", property(refuse))
     assert main(["--format", "json", *argv]) == 0
     assert '"status": "ok"' in capsys.readouterr().out
     with pytest.raises(AssertionError, match="nothing reads them"):
-        main(["--format", "json", "gammas", "--p", "1", "--q", "3"])
+        main(["--format", "text", "gammas", "--p", "1", "--q", "3"])
 
 
 def _wick_cases(n):

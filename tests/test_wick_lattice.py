@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 
 from krein_clifford.clifford_core import Multivector, Signature, make_sigma_from_vector
-from krein_clifford.spinor_rep import build_gammas
+from krein_clifford.spinor_rep import GammaSet, build_gammas
 from krein_clifford.wick_lattice import (
     MAX_DIM,
     FieldOperator,
@@ -95,6 +95,17 @@ def test_lattice_spec_validation():
     assert spec.n_sites == 16
     assert spec.spinor_dim == 2
     assert spec.total_dim == 32
+
+
+def test_flat_dirac_blocks_are_minus_i_times_the_raised_gammas():
+    # scattered from the gammas' strings with -i eta_mu folded into the phase: the
+    # same values as the dense products, which hold some -0.0 where the scatter has none
+    ladder = [build_gammas(Signature(p, n - p)) for n in (2, 4, 6, 8) for p in range(n + 1)]
+    s = build_gammas(Signature(2, 2)).strings  # each half reversed: another Clifford set
+    for g in [*ladder, GammaSet(Signature(2, 2), s[1::-1] + s[:1:-1])]:
+        D = build_flat_dirac(LatticeSpec(g.sig, 3), g)
+        want = [-1j * gam for gam in _raised_gammas(g)]
+        assert np.array_equal(D.blocks, [np.zeros_like(want[0]), *want]), g.sig
 
 
 @pytest.mark.parametrize("pq,N", [((2, 0), 4), ((1, 1), 4), ((1, 1), 5)])
