@@ -8,8 +8,10 @@ reader ignores whitespace and takes each term as a run of `+`/`-` signs
 imaginary literal, a bare `i` or `j`, or a parenthesised complex, then an
 optional `*`) and an optional blade in either form.  A term without
 coefficient or blade (a dangling sign), a non-finite coefficient and a
-repeated or out-of-range index are refused.  The JSON writer takes ndarrays
-and `Monomial` matrices (one nonzero entry per row, as a Pauli string's).
+repeated or out-of-range index are refused.  The JSON writer is one
+``json.dumps`` pass in which ndarrays are written as nested lists and each
+`Monomial` matrix (one nonzero entry per row, as a Pauli string's) is
+spliced in afterwards, row by row.
 """
 
 from __future__ import annotations
@@ -109,55 +111,32 @@ class Monomial:
     values: np.ndarray
 
 
-def payload_to_json(payload) -> str:
-    """Exactly ``json.dumps(payload, sort_keys=True, indent=2)``, where a
-    complex ndarray or a `Monomial` stands for its `matrix_to_json` lists:
-    the pieces of `payload_json_pieces`, joined."""
-    return "".join(payload_json_pieces(payload))
+_STUB, _QUOTED_STUB = "\0monomial", '"\\u0000monomial"'  # json writes the stub as the quoted one
 
 
 def payload_json_pieces(payload):
-    """The text of `payload_to_json`, in pieces of at most one matrix each.
+    """``json.dumps(payload, sort_keys=True, indent=2)`` with each complex ndarray or
+    `Monomial` as its `matrix_to_json` lists, in pieces of at most one `Monomial` each:
+    one pass writes each `Monomial` as a stub string, and `_monomial_text` splices it in
+    at the indent of its stub's line.  A string whose json text holds the quoted stub is refused."""
+    monomials = []
 
-    A payload holding no matrix goes through a single ``json.dumps``, and
-    so does each ndarray, as its `matrix_to_json` lists.  A `Monomial` is
-    written row by row: ``json`` writes each value of its table once, one
-    row of zero entries is joined once, and each row is that row with its
-    one entry sliced in, so a d x d matrix costs O(d) Python steps, not 2 d^2.
-    """
-    return _encode(payload, 0)
+    def hook(obj):
+        if isinstance(obj, Monomial):
+            monomials.append(obj)
+            return _STUB
+        if isinstance(obj, np.ndarray):
+            return matrix_to_json(obj)
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
-
-class _ArrayFound(Exception):
-    """A matrix met by ``json.dumps``: its container is encoded piece by piece."""
-
-
-def _refuse_array(obj):
-    """``json.dumps`` hook: stop at the first matrix, refuse what json refuses."""
-    if isinstance(obj, (np.ndarray, Monomial)):
-        raise _ArrayFound
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _encode(obj, level: int):
-    """Pieces of the JSON text of `obj` whose first line sits at indent `level`."""
-    if isinstance(obj, Monomial):
-        yield _monomial_text(obj, level)
-        return
-    if isinstance(obj, np.ndarray):
-        obj = matrix_to_json(obj)
-    try:
-        text = json.dumps(obj, sort_keys=True, indent=2, default=_refuse_array)
-    except _ArrayFound:
-        inner = "\n" + "  " * (level + 1)
-        is_dict = isinstance(obj, dict)
-        yield "{" if is_dict else "["
-        for i, key in enumerate(sorted(obj) if is_dict else range(len(obj))):
-            yield ("," if i else "") + inner + (f"{json.dumps(key)}: " if is_dict else "")
-            yield from _encode(obj[key], level + 1)
-        yield "\n" + "  " * level + ("}" if is_dict else "]")
-        return
-    yield text.replace("\n", "\n" + "  " * level) if level else text
+    *heads, tail = json.dumps(payload, sort_keys=True, indent=2, default=hook).split(_QUOTED_STUB)
+    if len(heads) != len(monomials):
+        raise ValueError(f"a payload string holds the stub {_QUOTED_STUB}")
+    for head, m in zip(heads, monomials):
+        line = head.rpartition("\n")[2]
+        yield head
+        yield _monomial_text(m, (len(line) - len(line.lstrip(" "))) // 2)
+    yield tail
 
 
 def _monomial_text(m: Monomial, level: int) -> str:

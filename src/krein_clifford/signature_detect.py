@@ -142,11 +142,6 @@ def _scatter(strings: list, coeffs: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def _cone_form(g: GammaSet, beta, x: np.ndarray, qx: float) -> np.ndarray:
-    """The hermitian matrix deciding cone membership of x with Q = qx, as `cone_test` builds it."""
-    return _scatter(_cone_strings(g, beta), x / qx, g.dim)
-
-
 def cone_test(sig: Signature, g: GammaSet, beta, v) -> ConeVerdict:
     """Decide cone membership of v by the definiteness of the spinor form.
 

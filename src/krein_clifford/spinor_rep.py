@@ -18,11 +18,11 @@ A `GammaSet` is built from the n strings alone; `build_gammas(sig)` passes
 the ladder's.  Its gammas (read-only, by one stacked scatter), `g.beta` (the
 Krein form), `g.chi` (chirality) and `g.charge_conjugation` (C, eps_tilde,
 kappa_tilde) are scattered from their strings on first access, once per
-`GammaSet` and never shared between two, by `build_krein_form`, `chirality`
-and `build_charge_conjugation`.  Each scatters its string with a values table
-(`krein_values`, `chirality_values`, `conjugation_values`): VALUES = [1, i,
--1, -i, zero] times the sign (beta), (-i)^(n/2 + q) (chi) or / lead * |lead|
-(C).  `gammas` writes its JSON from the same tables, with no matrix.
+`GammaSet` and never shared between two.  Each property scatters its string
+with the values table of `krein_values`, `chirality_values` or
+`conjugation_values`: VALUES = [1, i, -1, -i, zero] times the sign (beta),
+(-i)^(n/2 + q) (chi) or / lead * |lead| (C).  `gammas` writes its JSON from
+the same tables, with no matrix.
 """
 
 from __future__ import annotations
@@ -111,15 +111,30 @@ class GammaSet:
 
     @cached_property
     def beta(self) -> np.ndarray:
-        return build_krein_form(self)
+        """Compatible Krein form: the hermitian involutive matrix beta with
+        beta gamma_i beta^-1 = gamma_i^dagger, a product of the hermitian (or
+        antihermitian) generators.  The gammas are unitary, so the product is
+        already involutive and needs no rescaling (checked, not assumed)."""
+        b, values = krein_values(self)
+        return _dense(b, self.dim, values)
 
     @cached_property
     def chi(self) -> np.ndarray:
-        return chirality(self)
+        """Normalized volume element (-i)^(n/2 + q) gamma_1 ... gamma_n; squares to the identity."""
+        s, values = chirality_values(self)
+        return _dense(s, self.dim, values)
 
     @cached_property
     def charge_conjugation(self) -> tuple[np.ndarray, int, int]:
-        return build_charge_conjugation(self)
+        """(C, eps_tilde, kappa_tilde): C gamma_i C^-1 = gamma_i for the antilinear
+        psi -> C conj(psi), C^2 = eps_tilde and C^x C = kappa_tilde for beta.  Every
+        ladder gamma is real or imaginary, so C is the ordered product of the imaginary
+        gammas when they are even in number, of the real ones otherwise: it commutes with
+        the real generators and anticommutes with the imaginary ones (checked, not
+        assumed).  The phase is fixed by the first nonzero entry, m[0, x]; dividing by it
+        (not multiplying by its inverse) sets the signed zeros that `gammas` prints."""
+        c, values, eps_tilde, kappa_tilde = conjugation_values(self)
+        return _dense(c, self.dim, values), eps_tilde, kappa_tilde
 
 
 @cache  # a pure function of sig; a refusal raises again on every call
@@ -161,12 +176,6 @@ def chirality_values(g: GammaSet) -> tuple:
     return _product(g.strings, (1 << sig.n) - 1), (-1j) ** (sig.n // 2 + sig.q) * VALUES
 
 
-def chirality(g: GammaSet) -> np.ndarray:
-    """Normalized volume element (-i)^(n/2 + q) gamma_1 ... gamma_n; squares to the identity."""
-    s, values = chirality_values(g)
-    return _dense(s, g.dim, values)
-
-
 def commutant_is_scalar(g: GammaSet) -> bool:
     """Irreducibility certificate: only scalars commute with all generators.
 
@@ -203,15 +212,6 @@ def krein_values(g: GammaSet) -> tuple:
     return b, sign * VALUES
 
 
-def build_krein_form(g: GammaSet) -> np.ndarray:
-    """Compatible Krein form: the hermitian involutive matrix beta with
-    beta gamma_i beta^-1 = gamma_i^dagger, a product of the hermitian (or
-    antihermitian) generators.  The gammas are unitary, so the product is
-    already involutive and needs no rescaling (checked, not assumed)."""
-    b, values = krein_values(g)
-    return _dense(b, g.dim, values)
-
-
 def krein_adjoint(beta: np.ndarray, A: np.ndarray) -> np.ndarray:
     return beta @ A.conj().T @ beta
 
@@ -245,23 +245,6 @@ def conjugation_values(g: GammaSet) -> tuple:
     c = _conjugation_string(g.strings)
     lead = VALUES[(c[2] + 2 * (c[1] & c[0]).bit_count()) % 4]
     return c, VALUES / lead * abs(lead), *_string_signs(c, krein_string(g)[0], "C")
-
-
-def build_charge_conjugation(g: GammaSet) -> tuple[np.ndarray, int, int]:
-    """Matrix C of the antilinear psi -> C conj(psi) with C gamma_i C^-1 = gamma_i.
-
-    Every ladder generator is real or imaginary, so the matrix of C is the
-    ordered product of the imaginary gammas when they are even in number, of
-    the real ones otherwise: it commutes with the real generators and
-    anticommutes with the imaginary ones (checked, not assumed).
-
-    Returns (C, eps_tilde, kappa_tilde) with C^2 = eps_tilde and
-    C^x C = kappa_tilde for g.beta.  The phase is fixed by the first nonzero
-    entry, m[0, x]; dividing by it (not multiplying by its inverse) sets
-    the signed zeros that `gammas` prints.
-    """
-    c, values, eps_tilde, kappa_tilde = conjugation_values(g)
-    return _dense(c, g.dim, values), eps_tilde, kappa_tilde
 
 
 def _chi_string(s: tuple, sig: Signature):

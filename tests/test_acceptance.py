@@ -91,7 +91,7 @@ def test_criterion_2_blade_gram_alternative(capsys):
 def test_criterion_3_spinor_form_alternative(capsys):
     for sig in SWEEP_SIGS:
         g = sr.build_gammas(sig)
-        beta = sr.build_krein_form(g)
+        beta = g.beta
         rep = hermitian_inertia(beta)
         if sig.q == 0:
             assert rep.classification == "positive_definite", sig
@@ -111,7 +111,7 @@ def test_criterion_4_cone_oracle_agreement(capsys):
     for pq in [(1, 3), (3, 1), (1, 5), (5, 1)]:
         sig = Signature(*pq)
         g = sr.build_gammas(sig)
-        beta = sr.build_krein_form(g)
+        beta = g.beta
         for _ in range(1000):
             v = rng.normal(size=sig.n)
             qv = quadratic_form(Multivector.from_vector(sig, v)).real
@@ -202,7 +202,7 @@ def test_criterion_7_krein_positivity_lemmas(capsys):
     for pq in [(1, 3), (1, 5)]:
         sig = Signature(*pq)
         g = sr.build_gammas(sig)
-        beta = sr.build_krein_form(g)
+        beta = g.beta
         for _ in range(100):
             a = _random_krein_positive(sig, g, beta, rng)
             u = sd.dominant_vector_extraction(a)
@@ -211,7 +211,7 @@ def test_criterion_7_krein_positivity_lemmas(capsys):
             count += 1
     sig = Signature(1, 3)
     g = sr.build_gammas(sig)
-    beta = sr.build_krein_form(g)
+    beta = g.beta
     for t in (-0.9, 0.0, 0.9):
         p = Multivector.basis_vector(sig, 1) + (1j * t) * Multivector.blade(sig, [2, 3])
         assert sd.krein_positive(beta, sr.represent(g, p))

@@ -11,6 +11,8 @@ import pytest
 from krein_clifford.cli import main
 from krein_clifford.clifford_core import AdmissibleRealStructure
 
+from test_golden import GOLDEN, _assert_json_dumps_bytes, _assert_matches
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -228,8 +230,23 @@ def test_lattice_verbs_load_no_scipy(argv):
     assert _modules_after("scipy", _MAIN, *argv) == "[]"
 
 
-def test_verify_loads_no_numpy_random():
-    assert _modules_after("numpy.random", _MAIN, "verify", "--suite", "all") == "[]"
+def test_verify_loads_no_numpy_random(monkeypatch):
+    # the one real run of the core and spinor suites: each suite's slice of
+    # `all` must match its golden record, and `all` loads no numpy.random
+    monkeypatch.setenv("KREIN_CLIFFORD_SEED", "0")
+    code = _MAIN + "; sys.stderr.write(repr(sorted(m for m in sys.modules if m.startswith('numpy.random'))))"
+    proc = _run_fresh(code, "--format", "json", "verify", "--suite", "all")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "[]"
+    _assert_json_dumps_bytes(proc.stdout)
+    doc = json.loads(proc.stdout)
+    assert (doc["status"], doc["suite"], doc["seed"]) == ("ok", "all", 0)
+    pinned = [rec for path in sorted(GOLDEN.glob("verify*.json")) for rec in json.loads(path.read_text())]
+    assert sorted(rec["argv"][2] for rec in pinned) == ["cone", "core", "ideals", "spinor", "wick"]
+    for rec in pinned:
+        suite, want = rec["argv"][2], rec["stdout"]["results"]
+        _assert_matches([r for r in doc["results"] if r["name"].startswith(f"{suite}.")], want)
+    assert sum(len(rec["stdout"]["results"]) for rec in pinned) == len(doc["results"])
 
 
 def test_coefficients_near_the_float_maximum(capsys):
@@ -375,15 +392,6 @@ def test_gammas_payload(capsys):
     assert doc["eps_tilde"] in (1, -1)
     # matrix serialization shape: dim x dim x [re, im]
     assert len(doc["beta"]) == 2 and len(doc["beta"][0][0]) == 2
-
-
-@pytest.mark.parametrize("suite", ["spinor"])
-def test_verify_suite(capsys, suite):
-    code, doc, _ = run_json(capsys, "verify", "--suite", suite)
-    assert code == 0
-    assert doc["status"] == "ok"
-    assert all(r["ok"] for r in doc["results"])
-    assert doc["seed"] == 0
 
 
 def test_json_output_is_deterministic(capsys):

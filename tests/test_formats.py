@@ -19,7 +19,7 @@ from krein_clifford.formats import (
     matrix_to_json,
     multivector_from_text,
     multivector_to_text,
-    payload_to_json,
+    payload_json_pieces,
 )
 
 
@@ -112,6 +112,10 @@ def _dumps(payload):
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
+def payload_to_json(payload):
+    return "".join(payload_json_pieces(payload))
+
+
 def test_payload_to_json_writes_what_json_dumps_writes(rng):
     m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     m[0, 0], m[1, 2] = -0.0, complex(-0.0, -0.0)
@@ -168,10 +172,26 @@ def test_monomials_keep_their_own_zero():
     assert tuple(minus.values) == tuple(plus.values) and hash(tuple(minus.values)) == hash(tuple(plus.values))
     payload = {"beta": plus, "chirality": minus, "gammas": [minus, plus]}
     text = payload_to_json(payload)
-    dense = {k: [matrix_to_json(_monomial_oracle(m)) for m in v] if isinstance(v, list)
-             else matrix_to_json(_monomial_oracle(v)) for k, v in payload.items()}
-    assert text == _dumps(dense)
+    assert text == _dumps(_dense_oracle(payload))
     assert text.count("-0.0") == 2 * 12 * 2  # both parts of the 12 zeros of minus, twice
+    # each Monomial takes the indent of its stub's line: three levels deep, first
+    # and last in a list, one object twice, and the whole payload
+    for payload in ([{"a": [minus, 1, plus], "b": {"c": [plus]}}, "x"], [plus, "x", {"y": [[minus]]}, plus],
+                    {"same": [minus, minus], "too": minus}, plus, [plus], {"": plus}):
+        assert payload_to_json(payload) == _dumps(_dense_oracle(payload)), payload
+    # a string json writes as the quoted stub would splice a matrix where there is none
+    for payload in ({"s": "\0monomial"}, ["\0monomial", plus], {"\0monomial": 1}):
+        with pytest.raises(ValueError, match="stub"):
+            payload_to_json(payload)
+
+
+def _dense_oracle(payload):
+    """The payload with each `Monomial` as the `matrix_to_json` lists of its dense oracle."""
+    if isinstance(payload, Monomial):
+        return matrix_to_json(_monomial_oracle(payload))
+    if isinstance(payload, dict):
+        return {k: _dense_oracle(v) for k, v in payload.items()}
+    return [_dense_oracle(v) for v in payload] if isinstance(payload, list) else payload
 
 
 def _gammas_json(*argv):

@@ -3,7 +3,9 @@ JSON byte for byte except the charge conjugation matrix, which is pinned
 entrywise within 1e-12 (its phase normalization rounds in the last bit).
 
 `garling`, `csnorm`, `ideal`, `wick`, `cone` and
-`verify --suite ideals|core|spinor|cone|wick` are pinned as parsed payloads:
+`verify --suite ideals|core|spinor|cone|wick` are pinned as parsed payloads
+(`core` and `spinor` as slices of the one `verify --suite all` run in
+`test_cli.py`):
 ints, bools and the text of strings exactly, floats within 1e-12,
 including the numbers written inside strings (multivector coefficients,
 `verify` details), since a reordered sum moves the last bits.  The
@@ -56,9 +58,13 @@ def _assert_matches(got, want, path="$"):
 GOLDEN_VERBS = ("garling", "csnorm", "ideal", "wick", "verify", "cone", "verify_spinor_cone", "verify_wick")
 
 
+# the fresh-interpreter `verify --suite all` of test_cli runs these two once
+RUN_IN_ALL = (["verify", "--suite", "core"], ["verify", "--suite", "spinor"])
+
+
 def _golden_cases(verb):
     return [pytest.param(rec, id=" ".join(rec["argv"][1:]))
-            for rec in json.loads((GOLDEN / f"{verb}.json").read_text())]
+            for rec in json.loads((GOLDEN / f"{verb}.json").read_text()) if rec["argv"] not in RUN_IN_ALL]
 
 
 def _stdout(capsys, *argv):

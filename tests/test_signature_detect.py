@@ -15,7 +15,8 @@ from krein_clifford.signature_detect import (
     NEAR_NULL_REL_TOL,
     NonHermitianError,
     SignatureClassError,
-    _cone_form,
+    _cone_strings,
+    _scatter,
     chi_shifted_positivity,
     classify_hermitian,
     cone_membership_oracle,
@@ -27,7 +28,6 @@ from krein_clifford.signature_detect import (
 from krein_clifford.spinor_rep import (
     GammaSet,
     build_gammas,
-    build_krein_form,
     represent,
     sigma_compatible_product,
 )
@@ -37,7 +37,7 @@ LORENTZ_LIKE = [Signature(1, 3), Signature(3, 1), Signature(1, 5), Signature(5, 
 
 def _setup(sig):
     g = build_gammas(sig)
-    return g, build_krein_form(g)
+    return g, g.beta
 
 
 def test_classify_hermitian_rejects_nonhermitian():
@@ -152,7 +152,7 @@ def test_closed_form_cone_form_matches_products(sig):
         qx = quadratic_form(v).real
         assert abs(qx) > NEAR_NULL_REL_TOL * (x @ x)
         want = _cone_form_by_products(sig, g, beta, v)
-        got = _cone_form(g, beta, x, qx)
+        got = _scatter(_cone_strings(g, beta), x / qx, g.dim)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         verdict = cone_test(sig, g, beta, x).as_dict()
         got_verdict = verdict["in_cone"], verdict["component"], verdict["inertia"], verdict["classification"]
@@ -275,7 +275,7 @@ def test_cone_form_is_the_sigma_compatible_product_of_v(sig):
         x[t] *= rng.uniform(0.1, 2.0) * np.sqrt(sig.n)
         v = Multivector.from_vector(sig, x)
         qx = quadratic_form(v).real
-        form = _cone_form(g, beta, x, qx)
+        form = _scatter(_cone_strings(g, beta), x / qx, g.dim)
         product = sigma_compatible_product(g, make_sigma_from_vector(v, graded=lorentz))
         k = np.abs(product).argmax()
         ratio = form.flat[k] / product.flat[k]

@@ -20,11 +20,8 @@ from krein_clifford.spinor_rep import (
     RepresentationError,
     _dense,
     _ladder_strings,
-    build_charge_conjugation,
     build_gammas,
-    build_krein_form,
     case_signature,
-    chirality,
     commutant_is_scalar,
     ko_signs,
     krein_adjoint,
@@ -339,7 +336,7 @@ def test_strings_that_do_not_span_are_reducible():
 def test_chirality_properties():
     for sig in SIGS:
         g = build_gammas(sig)
-        chi = chirality(g)
+        chi = g.chi
         assert np.abs(chi @ chi - np.eye(g.dim)).max() < 1e-12
         assert np.abs(chi - chi.conj().T).max() < 1e-12
         for gam in g.gammas:
@@ -351,7 +348,7 @@ def test_chirality_properties():
 def test_krein_form_properties(rng):
     for sig in SIGS:
         g = build_gammas(sig)
-        beta = build_krein_form(g)
+        beta = g.beta
         assert np.abs(beta - beta.conj().T).max() < 1e-10
         assert np.abs(beta @ beta - np.eye(g.dim)).max() < 1e-9
         # defining property: beta gamma_i beta^{-1} = gamma_i^dagger
@@ -365,7 +362,7 @@ def test_krein_form_properties(rng):
 def test_krein_form_definite_iff_euclidean_metric():
     for sig in SIGS:
         g = build_gammas(sig)
-        w = np.linalg.eigvalsh(build_krein_form(g))
+        w = np.linalg.eigvalsh(g.beta)
         if sig.q == 0:
             assert w[0] > 0.5  # beta = identity-like, positive definite
         else:
@@ -387,8 +384,8 @@ def test_krein_form_is_unique_up_to_real_scale():
 def test_antilinear_adjoint_defining_property(rng):
     sig = Signature(1, 3)
     g = build_gammas(sig)
-    beta = build_krein_form(g)
-    C, _, _ = build_charge_conjugation(g)
+    beta = g.beta
+    C, _, _ = g.charge_conjugation
     adj = antilinear_adjoint(beta, C)
     for _ in range(10):
         x = rng.normal(size=g.dim) + 1j * rng.normal(size=g.dim)
@@ -402,7 +399,7 @@ def test_antilinear_adjoint_defining_property(rng):
 def test_charge_conjugation_commutes_with_real_elements(rng):
     for sig in SIGS:
         g = build_gammas(sig)
-        C, eps_tilde, kappa_tilde = build_charge_conjugation(g)
+        C, eps_tilde, kappa_tilde = g.charge_conjugation
         assert eps_tilde in (1, -1) and kappa_tilde in (1, -1)
         for gam in g.gammas:
             assert np.abs(C @ gam.conj() - gam @ C).max() < 1e-9
@@ -415,7 +412,7 @@ def test_charge_conjugation_commutes_with_real_elements(rng):
 def test_charge_conjugation_matches_kron_solve():
     for sig in SIGS:
         g = build_gammas(sig)
-        C, _, _ = build_charge_conjugation(g)
+        C, _, _ = g.charge_conjugation
         x = _kron_intertwiner([gam.conj() for gam in g.gammas], list(g.gammas))
         assert np.abs(C - _normalize_conjugation(x)).max() < 1e-12
 
@@ -423,7 +420,7 @@ def test_charge_conjugation_matches_kron_solve():
 def test_charge_conjugation_closed_form_up_to_n12():
     for sig in SIGS_TO_12:
         g = build_gammas(sig)
-        C, eps_tilde, kappa_tilde = build_charge_conjugation(g)
+        C, eps_tilde, kappa_tilde = g.charge_conjugation
         assert eps_tilde in (1, -1) and kappa_tilde in (1, -1)
         inv = np.linalg.inv(C)
         for gam in g.gammas:
@@ -434,17 +431,17 @@ def test_charge_conjugation_closed_form_up_to_n12():
 def test_charge_conjugation_rejects_non_ladder_generators():
     # X Y Z Z on the first factor is no Clifford set: the product X fails to commute with Z
     with pytest.raises(RepresentationError, match="does not intertwine"):
-        build_charge_conjugation(GammaSet(Signature(2, 2), ((2, 0, 0), (2, 2, 1), (0, 2, 0), (0, 2, 0))))
+        GammaSet(Signature(2, 2), ((2, 0, 0), (2, 2, 1), (0, 2, 0), (0, 2, 0))).charge_conjugation
     # Y Y: the product of the imaginary gammas is 1, which fails to commute with Y
     with pytest.raises(RepresentationError, match="does not intertwine"):
-        build_charge_conjugation(GammaSet(Signature(2, 0), ((1, 1, 1), (1, 1, 1))))
+        GammaSet(Signature(2, 0), ((1, 1, 1), (1, 1, 1))).charge_conjugation
 
 
 def test_krein_form_rejects_non_clifford_generators():
     # X and Z both square to 1, so they are no (1,1) set: the candidate X is
     # hermitian and involutive but X Z^dagger != Z X
     with pytest.raises(RepresentationError, match="no hermitian involutive"):
-        build_krein_form(GammaSet(Signature(1, 1), ((1, 0, 0), (0, 1, 0))))
+        GammaSet(Signature(1, 1), ((1, 0, 0), (0, 1, 0))).beta
 
 
 def test_krein_form_is_not_rescaled():
@@ -540,8 +537,8 @@ def test_graded_conjugation_signs_consistent():
 def test_commutation_sign_oracle():
     sig = Signature(1, 3)
     g = build_gammas(sig)
-    chi = chirality(g)
-    C, _, _ = build_charge_conjugation(g)
+    chi = g.chi
+    C, _, _ = g.charge_conjugation
     s = _oracle_commutation_sign(C, chi)
     assert np.abs(C @ chi.conj() - s * chi @ C).max() < 1e-9
     # the graded J = chi C anticommutes with every generator
@@ -584,10 +581,12 @@ def test_spinor_structures_are_built_lazily_and_once(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("built although nothing reads it")
 
+    def refuse_dense(*names):
+        for name in names:
+            monkeypatch.setattr(sr.GammaSet, name, property(refuse))
+
     # `cone` reads the Krein form as a Pauli string, and builds no matrix of it
-    monkeypatch.setattr(sr, "build_krein_form", refuse)
-    monkeypatch.setattr(sr, "chirality", refuse)
-    monkeypatch.setattr(sr, "build_charge_conjugation", refuse)
+    refuse_dense("beta", "chi", "charge_conjugation")
     assert cli.main(["--format", "json", "cone", "--p", "1", "--q", "3", "--v", "2,0.5,0,0"]) == 0
     assert '"in_cone": true' in capsys.readouterr().out
     assert cli.main(["--format", "json", "cone", "--p", "3", "--q", "1", "--v", "0,0.5,0,2"]) == 0
@@ -595,8 +594,7 @@ def test_spinor_structures_are_built_lazily_and_once(monkeypatch, capsys):
     monkeypatch.undo()
 
     # the rho norm reads only the Krein form
-    monkeypatch.setattr(sr, "chirality", refuse)
-    monkeypatch.setattr(sr, "build_charge_conjugation", refuse)
+    refuse_dense("chi", "charge_conjugation")
     sig = Signature(1, 3)
     asp.rho_operator_norm(euclidean_structure(sig), Multivector.basis_vector(sig, 2))
     monkeypatch.undo()
@@ -604,19 +602,18 @@ def test_spinor_structures_are_built_lazily_and_once(monkeypatch, capsys):
     # `ko_signs` reads the Pauli strings, and builds none of the matrices
     monkeypatch.setattr(sr, "build_gammas", refuse)
     monkeypatch.setattr(sr, "_dense", refuse)
-    monkeypatch.setattr(sr, "build_krein_form", refuse)
-    monkeypatch.setattr(sr, "chirality", refuse)
-    monkeypatch.setattr(sr, "build_charge_conjugation", refuse)
+    refuse_dense("beta", "chi", "charge_conjugation")
     ko_signs(sig, "antilorentz")
     monkeypatch.undo()
 
     calls = []
-    build = sr.build_krein_form
-    monkeypatch.setattr(sr, "build_krein_form", lambda g: calls.append(g) or build(g))
+    values = sr.krein_values
+    monkeypatch.setattr(sr, "krein_values", lambda g: calls.append(g) or values(g))
     g = build_gammas(sig)
     assert g.beta is g.beta and g.chi is g.chi and g.charge_conjugation is g.charge_conjugation
-    assert len(calls) == 1
+    assert calls == [g]
     assert build_gammas(sig).beta is not g.beta  # no cache across calls
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,8 +1,10 @@
 """The self-check suites behind the `verify` CLI verb.
 
-Each suite runs for real once, at seed 0, in `test_golden.py`, which pins
-every check's name, `ok` and detail; here the goldens are checked to cover
-every suite with every check passing."""
+Each suite runs for real once, at seed 0, and is matched against its golden
+record, which pins every check's name, `ok` and detail: `core` and `spinor`
+in the fresh-interpreter `verify --suite all` of `test_cli.py`, the others
+in `test_golden.py`.  Here the goldens are checked to cover every suite
+with every check passing."""
 
 import json
 from pathlib import Path
